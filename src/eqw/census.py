@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Optional
@@ -75,7 +76,7 @@ def count_bisep_fixed_partition(n: int, k: int) -> int:
 def count_dj_bisep_upper(n: int) -> tuple[int, int]:
     """Both closed forms of the biseparable-balanced bound, computed exactly.
 
-    The half-weighted terms are accumulated in doubled units and asserted
+    The half-weighted terms are accumulated in doubled units and checked
     even before halving, so the arithmetic never leaves the integers.
     """
     if n < 2:
@@ -85,13 +86,15 @@ def count_dj_bisep_upper(n: int) -> tuple[int, int]:
         doubled_a += 2 * binom(n, k) * count_bisep_fixed_partition(n, k)
     if n % 2 == 0:
         doubled_a += binom(n, n // 2) * count_bisep_fixed_partition(n, n // 2)
-    assert doubled_a % 2 == 0
+    if doubled_a % 2:
+        raise ArithmeticError(f"doubled partition sum {doubled_a} is odd")
     doubled_b = 0
     for k in range(1, n):
         bal_k = binom(1 << k, 1 << (k - 1))
         bal_nk = binom(1 << (n - k), 1 << (n - k - 1))
         doubled_b += binom(n, k) * (2 * bal_k * (1 << (1 << (n - k))) - bal_k * bal_nk)
-    assert doubled_b % 2 == 0
+    if doubled_b % 2:
+        raise ArithmeticError(f"doubled cut sum {doubled_b} is odd")
     return doubled_a // 2, doubled_b // 2
 
 
@@ -300,72 +303,106 @@ def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-@dataclass(frozen=True)
-class _DjTally:
-    balanced: int = 0
-    fully_separable: int = 0
-    pair_block: int = 0
-    biseparable: int = 0
-    entangled: int = 0
-
-    def __add__(self, other: "_DjTally") -> "_DjTally":
-        return _DjTally(
-            self.balanced + other.balanced,
-            self.fully_separable + other.fully_separable,
-            self.pair_block + other.pair_block,
-            self.biseparable + other.biseparable,
-            self.entangled + other.entangled,
-        )
-
-
-def _tally_balanced_state(n: int, amps: tuple[int, ...], acc: list[int]) -> None:
-    fac = finest_factorization(StateVector(n, amps))
-    q = fac.q
-    acc[0] += 1
-    if q == n:
-        acc[1] += 1
-    if fac.block_sizes() == (1,) * (n - 2) + (2,):
-        acc[2] += 1
-    if q >= 2:
-        acc[3] += 1
-    else:
-        acc[4] += 1
-
-
-def _dj_scan_full(args: tuple[int, int, int]) -> _DjTally:
-    """Classify the balanced functions with truth-table integers in [lo, hi)."""
-    n, lo, hi = args
+def sign_placements(n: int, m: int, lo: int = 0, hi: Optional[int] = None):
+    """Yield (minus positions, sign vector) for every placement of m minus
+    signs among the 2^n amplitudes with combination rank in [lo, hi)."""
     size = 1 << n
-    half = size >> 1
-    acc = [0, 0, 0, 0, 0]
-    for fi in range(lo, hi):
-        if fi.bit_count() != half:
-            continue
-        amps = tuple(1 - 2 * ((fi >> x) & 1) for x in range(size))
-        _tally_balanced_state(n, amps, acc)
-    return _DjTally(*acc)
-
-
-def _dj_scan_balanced(args: tuple[int, int, int]) -> _DjTally:
-    """Classify the balanced functions with combination ranks in [lo, hi)."""
-    n, lo, hi = args
-    size = 1 << n
-    half = size >> 1
-    acc = [0, 0, 0, 0, 0]
-    plus = (1,) * size
-    for minus_positions in islice(combinations(range(size), half), lo, hi):
-        amps = list(plus)
+    for minus_positions in islice(combinations(range(size), m), lo, hi):
+        amps = [1] * size
         for x in minus_positions:
             amps[x] = -1
-        _tally_balanced_state(n, tuple(amps), acc)
-    return _DjTally(*acc)
+        yield minus_positions, StateVector(n, tuple(amps))
 
 
-def _run_sharded(fn, jobs: list, workers: int) -> list:
+def _scan_placements(args: tuple[int, int, int, int]) -> Counter:
+    """Histogram of finest-factorization block sizes over one rank shard."""
+    n, m, lo, hi = args
+    return Counter(
+        finest_factorization(s).block_sizes() for _, s in sign_placements(n, m, lo, hi)
+    )
+
+
+def _placement_histogram(n: int, m: int, workers: int) -> Counter:
+    """Block-size histogram over every placement of m minus signs.
+
+    Sharded by contiguous combination-rank ranges with an additive merge, so
+    the result does not depend on the worker count.
+    """
+    jobs = [(n, m, lo, hi) for lo, hi in _shard_bounds(binom(1 << n, m), workers)]
     if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
+        return sum(map(_scan_placements, jobs), Counter())
     with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(fn, jobs)
+        return sum(pool.map(_scan_placements, jobs), Counter())
+
+
+def _report_rows(rows: list[tuple], enumerated: bool) -> tuple[CensusRow, ...]:
+    """Build a report's rows from (class, closed form, enumerated count,
+    relation, note) tuples.
+
+    An enumerated report keeps every row and drops the closed form of
+    oracle-only rows; a closed-form report keeps the rows that have a closed
+    form, with no enumerated count and no asserted relation.
+    """
+    if enumerated:
+        return tuple(
+            CensusRow(
+                name,
+                None if relation == RELATION_ORACLE_ONLY else formula,
+                oracle,
+                relation,
+                note,
+            )
+            for name, formula, oracle, relation, note in rows
+        )
+    return tuple(
+        CensusRow(name, formula, None, RELATION_FORMULA_ONLY, note)
+        for name, formula, _, _, note in rows
+        if formula is not None
+    )
+
+
+def _dj_rows(n: int, sizes: Optional[Counter]) -> tuple[CensusRow, ...]:
+    """DJ rows from the block-size histogram of the balanced placements, or
+    closed forms only when sizes is None."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+
+    def count(keep) -> int:
+        return sum(c for s, c in (sizes or Counter()).items() if keep(s))
+
+    pair = count_pairblock_factorizations(n) if n >= 3 else None
+    rows = [
+        ("balanced", count_balanced(n), count(lambda s: True), RELATION_EQUAL, None),
+        (
+            "balanced-fully-separable",
+            count_balanced_fully_separable(n),
+            count(lambda s: len(s) == n),
+            RELATION_EQUAL,
+            None,
+        ),
+        (
+            "balanced-pair-block",
+            pair,
+            count(lambda s: s == (1,) * (n - 2) + (2,)),
+            RELATION_ORACLE_ONLY if pair is None else RELATION_UPPER,
+            None,
+        ),
+        (
+            "balanced-biseparable",
+            count_dj_bisep_upper(n)[0],
+            count(lambda s: len(s) >= 2),
+            RELATION_UPPER,
+            None,
+        ),
+        (
+            "balanced-genuinely-entangled",
+            None,
+            count(lambda s: len(s) == 1),
+            RELATION_ORACLE_ONLY,
+            None,
+        ),
+    ]
+    return _report_rows(rows, sizes is not None)
 
 
 def enumerate_dj(
@@ -376,10 +413,8 @@ def enumerate_dj(
 ) -> CensusReport:
     """Exhaustively classify the balanced functions on n bits.
 
-    Scans the full function space up to n = 4, or the balanced functions
-    only at n = 5 when balanced_only is set. Sharded by contiguous index
-    ranges with an additive merge, so results do not depend on the worker
-    count.
+    Runs one scan over the placements of 2^(n-1) minus signs, capped at
+    n = 4; balanced_only only raises the cap to n = 5.
     """
     if cap is None:
         cap = DJ_BALANCED_CAP if balanced_only else DJ_FULL_CAP
@@ -388,182 +423,64 @@ def enumerate_dj(
     if n > cap:
         kind = "balanced-only" if balanced_only else "full"
         raise ResourceCapError(f"{kind} enumeration capped at n = {cap}, got {n}")
-    if balanced_only:
-        total = count_balanced(n)
-        scan = _dj_scan_balanced
-    else:
-        total = 1 << (1 << n)
-        scan = _dj_scan_full
-    jobs = [(n, lo, hi) for lo, hi in _shard_bounds(total, workers)]
-    tally = _DjTally()
-    for part in _run_sharded(scan, jobs, workers):
-        tally = tally + part
-    pair_formula = count_pairblock_factorizations(n) if n >= 3 else None
-    rows = (
-        CensusRow("balanced", count_balanced(n), tally.balanced, RELATION_EQUAL),
-        CensusRow(
-            "balanced-fully-separable",
-            count_balanced_fully_separable(n),
-            tally.fully_separable,
-            RELATION_EQUAL,
-        ),
-        CensusRow(
-            "balanced-pair-block",
-            pair_formula,
-            tally.pair_block,
-            RELATION_UPPER if pair_formula is not None else RELATION_ORACLE_ONLY,
-        ),
-        CensusRow(
-            "balanced-biseparable",
-            count_dj_bisep_upper(n)[0],
-            tally.biseparable,
-            RELATION_UPPER,
-        ),
-        CensusRow(
-            "balanced-genuinely-entangled", None, tally.entangled, RELATION_ORACLE_ONLY
-        ),
-    )
-    return CensusReport("dj", n, rows)
+    sizes = _placement_histogram(n, 1 << (n - 1), workers)
+    return CensusReport("dj", n, _dj_rows(n, sizes))
 
 
 def dj_formula_report(n: int) -> CensusReport:
     """Closed-form rows only, for runs without the exhaustive oracle."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    pair = count_pairblock_factorizations(n) if n >= 3 else None
-    rows = [
-        CensusRow("balanced", count_balanced(n), None, RELATION_FORMULA_ONLY),
-        CensusRow(
-            "balanced-fully-separable",
-            count_balanced_fully_separable(n),
-            None,
-            RELATION_FORMULA_ONLY,
-        ),
-    ]
-    if pair is not None:
-        rows.append(CensusRow("balanced-pair-block", pair, None, RELATION_FORMULA_ONLY))
-    rows.append(
-        CensusRow(
-            "balanced-biseparable",
-            count_dj_bisep_upper(n)[0],
-            None,
-            RELATION_FORMULA_ONLY,
-        )
-    )
-    return CensusReport("dj", n, tuple(rows))
-
-
-def _grover_scan(args: tuple[int, int, int, int]) -> tuple[int, ...]:
-    """Per-q histogram of the M-minus sign placements with ranks in [lo, hi)."""
-    n, m, lo, hi = args
-    size = 1 << n
-    counts = [0] * (n + 1)
-    for minus_positions in islice(combinations(range(size), m), lo, hi):
-        amps = [1] * size
-        for x in minus_positions:
-            amps[x] = -1
-        counts[finest_factorization(StateVector(n, tuple(amps))).q] += 1
-    return tuple(counts)
+    return CensusReport("dj", n, _dj_rows(n, None))
 
 
 def _grover_rows(
     gc: GroverCounts, qcounts: Optional[list[int]]
 ) -> tuple[CensusRow, ...]:
     n, m = gc.n, gc.m
-    exhaustive = qcounts is not None
-    rows: list[CensusRow] = []
-    oracle_total = sum(qcounts) if exhaustive else None
-    rows.append(
-        CensusRow(
-            "total",
-            gc.total,
-            oracle_total,
-            RELATION_EQUAL if exhaustive else RELATION_FORMULA_ONLY,
-        )
-    )
-    bisep_oracle = sum(qcounts[2:]) if exhaustive else None
+    q = qcounts or [0] * (n + 1)
+    outside = "outside the M^2 < 2^n regime; {} {} not asserted"
+    rows = [("total", gc.total, sum(q), RELATION_EQUAL, None)]
     if m % 2 == 1:
         rows.append(
-            CensusRow(
-                "fully-entangled",
-                gc.fully_entangled_formula,
-                qcounts[1] if exhaustive else None,
-                RELATION_EQUAL if exhaustive else RELATION_FORMULA_ONLY,
-            )
+            ("fully-entangled", gc.fully_entangled_formula, q[1], RELATION_EQUAL, None)
         )
         rows.append(
-            CensusRow(
+            (
                 "biseparable",
                 0,
-                bisep_oracle,
-                RELATION_EQUAL if exhaustive else RELATION_FORMULA_ONLY,
-                note="odd solution count admits no tensor split",
+                sum(q[2:]),
+                RELATION_EQUAL,
+                "odd solution count admits no tensor split",
             )
         )
     else:
-        asserted_equal = m == 2 and not gc.outside_regime
-        asserted_upper = m >= 4 and m <= (1 << (n - 2))
-        if asserted_equal:
-            relation = RELATION_EQUAL if exhaustive else RELATION_FORMULA_ONLY
-            rows.append(CensusRow("biseparable", gc.bisep_formula, bisep_oracle, relation))
-        elif asserted_upper:
-            relation = RELATION_UPPER if exhaustive else RELATION_FORMULA_ONLY
-            rows.append(
-                CensusRow(
-                    "biseparable",
-                    gc.bisep_formula,
-                    bisep_oracle,
-                    relation,
-                    note="closed form counts (partition, factor) pairs",
-                )
-            )
+        if m == 2 and not gc.outside_regime:
+            relation, note = RELATION_EQUAL, None
+        elif 4 <= m <= 1 << (n - 2):
+            relation = RELATION_UPPER
+            note = "closed form counts (partition, factor) pairs"
         else:
-            rows.append(
-                CensusRow(
-                    "biseparable",
-                    None if exhaustive else gc.bisep_formula,
-                    bisep_oracle,
-                    RELATION_ORACLE_ONLY if exhaustive else RELATION_FORMULA_ONLY,
-                    note=(
-                        f"outside the M^2 < 2^n regime; closed form "
-                        f"{gc.bisep_formula} not asserted"
-                    ),
-                )
-            )
-        if exhaustive:
-            rows.append(
-                CensusRow("fully-entangled", None, qcounts[1], RELATION_ORACLE_ONLY)
-            )
+            relation = RELATION_ORACLE_ONLY
+            note = outside.format("closed form", gc.bisep_formula)
+        rows.append(("biseparable", gc.bisep_formula, sum(q[2:]), relation, note))
+        rows.append(("fully-entangled", None, q[1], RELATION_ORACLE_ONLY, None))
         if gc.jsep_form_count is not None and m >= 4:
-            k = m.bit_length() - 1
-            name = f"{k + 1}-separable-form"
-            if m <= (1 << (n - 2)):
-                rows.append(
-                    CensusRow(
-                        name,
-                        gc.jsep_form_count,
-                        qcounts[k + 1] if exhaustive else None,
-                        RELATION_EQUAL if exhaustive else RELATION_FORMULA_ONLY,
-                    )
+            k, jsep = m.bit_length() - 1, gc.jsep_form_count
+            in_regime = m <= 1 << (n - 2)
+            rows.append(
+                (
+                    f"{k + 1}-separable-form",
+                    jsep,
+                    q[k + 1],
+                    RELATION_EQUAL if in_regime else RELATION_ORACLE_ONLY,
+                    None if in_regime else outside.format("form count", jsep),
                 )
-            else:
-                rows.append(
-                    CensusRow(
-                        name,
-                        None if exhaustive else gc.jsep_form_count,
-                        qcounts[k + 1] if exhaustive else None,
-                        RELATION_ORACLE_ONLY if exhaustive else RELATION_FORMULA_ONLY,
-                        note=(
-                            f"outside the M^2 < 2^n regime; form count "
-                            f"{gc.jsep_form_count} not asserted"
-                        ),
-                    )
-                )
-    if exhaustive:
-        for q in range(1, n + 1):
-            if qcounts[q]:
-                rows.append(CensusRow(f"q-{q}", None, qcounts[q], RELATION_ORACLE_ONLY))
-    return tuple(rows)
+            )
+    rows += [
+        (f"q-{j}", None, q[j], RELATION_ORACLE_ONLY, None)
+        for j in range(1, n + 1)
+        if q[j]
+    ]
+    return _report_rows(rows, qcounts is not None)
 
 
 def enumerate_grover(
@@ -575,9 +492,9 @@ def enumerate_grover(
         raise ResourceCapError(
             f"enumeration capped at {cap_states} states, B(2^{n}, {m}) = {gc.total}"
         )
-    jobs = [(n, m, lo, hi) for lo, hi in _shard_bounds(gc.total, workers)]
-    parts = _run_sharded(_grover_scan, jobs, workers)
-    qcounts = [sum(col) for col in zip(*parts)]
+    qcounts = [0] * (n + 1)
+    for sizes, count in _placement_histogram(n, m, workers).items():
+        qcounts[len(sizes)] += count
     return CensusReport("grover", n, _grover_rows(gc, qcounts), m=m)
 
 
@@ -587,52 +504,37 @@ def grover_formula_report(n: int, m: int) -> CensusReport:
     return CensusReport("grover", n, _grover_rows(gc, None), m=m)
 
 
+def _simon_rows(sc: SimonCensus, classes: Optional[Counter]) -> tuple[CensusRow, ...]:
+    """Simon rows from the (period weight, collapsed q) histogram, or closed
+    forms only when classes is None."""
+    found = classes or Counter()
+    periods = sum(found.values())
+    rows = [
+        (
+            f"weight-{row.weight}",
+            row.count,
+            found.get((row.weight, row.q), 0),
+            RELATION_EQUAL,
+            f"collapsed class q = {row.q}",
+        )
+        for row in sc.rows
+    ]
+    rows.append(("total-nonzero-periods", (1 << sc.n) - 1, periods, RELATION_EQUAL, None))
+    rows.append(("modal-weight", sc.modal_weight, None, RELATION_FORMULA_ONLY, None))
+    return _report_rows(rows, classes is not None)
+
+
 def enumerate_simon(n: int, cap: int = FACTOR_CAP) -> CensusReport:
     """Classify the collapsed state of every nonzero period on n qubits."""
     sc = count_simon(n)
     if n > cap:
         raise ResourceCapError(f"enumeration capped at n = {cap}, got {n}")
-    per_weight = [0] * (n + 1)
-    matched = [0] * (n + 1)
-    for r in range(1, 1 << n):
-        k = r.bit_count()
-        per_weight[k] += 1
-        fac = finest_factorization(simon_canonical_state(n, r), cap=cap)
-        if fac.q == n - k + 1:
-            matched[k] += 1
-    rows = [
-        CensusRow(
-            f"weight-{row.weight}",
-            row.count,
-            matched[row.weight],
-            RELATION_EQUAL,
-            note=f"collapsed class q = {row.q}",
-        )
-        for row in sc.rows
-    ]
-    rows.append(
-        CensusRow("total-nonzero-periods", (1 << n) - 1, sum(per_weight), RELATION_EQUAL)
+    classes = Counter(
+        (r.bit_count(), finest_factorization(simon_canonical_state(n, r), cap=cap).q)
+        for r in range(1, 1 << n)
     )
-    rows.append(
-        CensusRow("modal-weight", sc.modal_weight, None, RELATION_FORMULA_ONLY)
-    )
-    return CensusReport("simon", n, tuple(rows))
+    return CensusReport("simon", n, _simon_rows(sc, classes))
 
 
 def simon_formula_report(n: int) -> CensusReport:
-    sc = count_simon(n)
-    rows = [
-        CensusRow(
-            f"weight-{row.weight}",
-            row.count,
-            None,
-            RELATION_FORMULA_ONLY,
-            note=f"collapsed class q = {row.q}",
-        )
-        for row in sc.rows
-    ]
-    rows.append(
-        CensusRow("total-nonzero-periods", (1 << n) - 1, None, RELATION_FORMULA_ONLY)
-    )
-    rows.append(CensusRow("modal-weight", sc.modal_weight, None, RELATION_FORMULA_ONLY))
-    return CensusReport("simon", n, tuple(rows))
+    return CensusReport("simon", n, _simon_rows(count_simon(n), None))

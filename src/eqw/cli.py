@@ -303,7 +303,7 @@ def simulate_cmd(algorithm, n, truth_table, m, solutions, r, seed, instance_path
 @click.option("--workers", type=int, default=None,
               help="Enumeration worker processes [default: available cores].")
 @click.option("--balanced-only", is_flag=True,
-              help="dj: enumerate the balanced functions only (allows n = 5).")
+              help="dj: raise the enumeration cap to n = 5.")
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
 @click.option("--max-n", "max_n", type=int, default=None, help="Raise the n cap.")
 @_guard

@@ -277,7 +277,8 @@ def full_separability_fast(s: StateVector) -> Optional[tuple[LinearForm, int]]:
                 return None
             hit = a
     value = spectrum[hit]
-    assert abs(value) == len(s.amps)
+    if abs(value) != len(s.amps):
+        raise ArithmeticError(f"lone spectral coefficient {value} is not +-{len(s.amps)}")
     return LinearForm.from_value(s.m, hit), (1 if value > 0 else -1)
 
 

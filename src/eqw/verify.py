@@ -9,7 +9,7 @@ or a failed exact comparison fails a check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .census import (
     RELATION_UPPER,
@@ -17,6 +17,7 @@ from .census import (
     enumerate_dj,
     enumerate_grover,
     enumerate_simon,
+    sign_placements,
 )
 from .oracles import (
     dj_oracle_pipeline,
@@ -200,13 +201,8 @@ def verify_lemma(ns: list[int]) -> list[Check]:
                     f"{tried} factor tuples, product balanced iff a factor is",
                 )
             )
-        half = 1 << (n - 1)
         bad_fi = None
-        for minus in combinations(range(1 << n), half):
-            amps = [1] * (1 << n)
-            for x in minus:
-                amps[x] = -1
-            s = StateVector(n, tuple(amps))
+        for minus, s in sign_placements(n, 1 << (n - 1)):
             rep = classify(s)
             if rep.q < 2:
                 continue

@@ -293,10 +293,28 @@ def test_enumerate_dj_workers_deterministic():
 
 def test_enumerate_dj_balanced_only_matches_full():
     assert enumerate_dj(3, balanced_only=True).rows == enumerate_dj(3).rows
-    # combination-rank sharding agrees with the full scan
+    # balanced_only only raises the cap: both run the same balanced-placement
+    # scan, whatever the worker count
     assert (
         enumerate_dj(4, balanced_only=True, workers=3).rows == enumerate_dj(4).rows
     )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_dj_matches_grover_at_half_solutions(n, workers):
+    # a balanced function is a Grover oracle with M = 2^(n-1) solutions, so
+    # both censuses classify the same sign vectors
+    dj = {r.class_name: r.oracle for r in enumerate_dj(n, workers=workers).rows}
+    grover = {
+        r.class_name: r.oracle
+        for r in enumerate_grover(n, 1 << (n - 1), workers=workers).rows
+    }
+    q = [grover.get(f"q-{k}", 0) for k in range(n + 1)]
+    assert dj["balanced"] == grover["total"] == sum(q)
+    assert dj["balanced-fully-separable"] == q[n]
+    assert dj["balanced-biseparable"] == sum(q[2:]) == grover["biseparable"]
+    assert dj["balanced-genuinely-entangled"] == q[1]
 
 
 def test_enumerate_dj_caps():
