@@ -421,8 +421,10 @@ def enumerate_dj(
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > cap:
-        kind = "balanced-only" if balanced_only else "full"
-        raise ResourceCapError(f"{kind} enumeration capped at n = {cap}, got {n}")
+        raise ResourceCapError(
+            f"balanced-function enumeration capped at n = {cap}, got {n}; the default"
+            f" caps are n = {DJ_FULL_CAP}, or n = {DJ_BALANCED_CAP} with --balanced-only"
+        )
     sizes = _placement_histogram(n, 1 << (n - 1), workers)
     return CensusReport("dj", n, _dj_rows(n, sizes))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Optional
 
 from .errors import ResourceCapError
@@ -51,32 +51,27 @@ class Bipartition:
 
 @lru_cache(maxsize=512)
 def _index_maps(n: int, subset: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-basis-index (row, col) coordinates for the reshape at a bipartition.
+    """Basis-index offsets of the rows and columns of the reshape at a bipartition.
 
-    Row bits come from the subset qubits, column bits from the rest, each in
-    ascending qubit order (first listed qubit most significant).
+    Entry (i, j) of the reshape is amps[rows[i] | cols[j]]. Row i takes its
+    bits from the subset qubits in listed order, column j from the other
+    qubits in ascending order, the first qubit most significant in each; the
+    2^k row and 2^(n-k) column offsets are built by doubling.
     """
-    others = tuple(q for q in range(1, n + 1) if q not in subset)
-    rows, cols = [], []
-    for x in range(1 << n):
-        r = 0
-        for q in subset:
-            r = (r << 1) | ((x >> (n - q)) & 1)
-        c = 0
-        for q in others:
-            c = (c << 1) | ((x >> (n - q)) & 1)
-        rows.append(r)
-        cols.append(c)
-    return tuple(rows), tuple(cols)
+    def offsets(qubits) -> tuple[int, ...]:
+        out = [0]
+        for q in qubits:
+            bit = 1 << (n - q)
+            out = [y for x in out for y in (x, x | bit)]
+        return tuple(out)
+
+    return offsets(subset), offsets(q for q in range(1, n + 1) if q not in subset)
 
 
 def _reshape(s: StateVector, p: Bipartition) -> list[list[int]]:
     rows, cols = _index_maps(s.m, p.subset)
-    mat = [[0] * (1 << (s.m - len(p.subset))) for _ in range(1 << len(p.subset))]
-    for x, a in enumerate(s.amps):
-        if a:
-            mat[rows[x]][cols[x]] = a
-    return mat
+    amps = s.amps
+    return [[amps[r | c] for c in cols] for r in rows]
 
 
 def _content_reduced(vec: list[int]) -> list[int]:
@@ -89,34 +84,38 @@ def try_factor(
 ) -> Optional[tuple[StateVector, StateVector]]:
     """Split s across the bipartition if its reshaped matrix has rank 1.
 
-    Rank 1 holds iff every entry satisfies a[i][j] * a[r][c] == a[i][c] * a[r][j]
-    against a fixed nonzero reference a[r][c]; the identity also forces the
-    zero rows/columns. Returns content-reduced integer factors, the subset
-    factor with its first nonzero entry positive, such that their tensor
-    product equals s up to a positive rational scale. None means no split.
+    Walks the support against its first index x0 = (r0, c0): rank 1 holds iff
+    every support entry satisfies a[r][c] * a[r0][c0] == a[r][c0] * a[r0][c]
+    and the support is the whole rectangle supp(column c0) x supp(row r0).
+    The walk stops at the first failing entry, and only a split reads the
+    factors, through the offset tables. Returns content-reduced integer
+    factors, the subset factor with its first nonzero entry positive, such
+    that their tensor product equals s up to a positive rational scale.
+    None means no split.
     """
     if s.m < 2:
         raise ValueError("need at least 2 qubits to bipartition")
     if p.n != s.m:
         raise ValueError(f"bipartition is for {p.n} qubits, state has {s.m}")
-    mat = _reshape(s, p)
-    r0 = c0 = -1
-    for i, row in enumerate(mat):
-        for j, a in enumerate(row):
-            if a:
-                r0, c0 = i, j
-                break
-        if r0 >= 0:
-            break
-    ref = mat[r0][c0]
-    ref_row = mat[r0]
-    for row in mat:
-        ui = row[c0]
-        for aj, vj in zip(row, ref_row):
-            if aj * ref != ui * vj:
-                return None
-    u = _content_reduced([row[c0] for row in mat])
-    v = _content_reduced(list(ref_row))
+    a = s.amps
+    rmask = sum(1 << (s.m - q) for q in p.subset)
+    cmask = (len(a) - 1) ^ rmask
+    support = compress(range(len(a)), a)
+    x0 = next(support)
+    ref = a[x0]
+    r0, c0 = x0 & rmask, x0 & cmask
+    size = 1
+    for x in support:
+        if a[x] * ref != a[(x & rmask) | c0] * a[r0 | (x & cmask)]:
+            return None
+        size += 1
+    rows, cols = _index_maps(s.m, p.subset)
+    u = [a[r | c0] for r in rows]
+    v = [a[r0 | c] for c in cols]
+    if size != (len(u) - u.count(0)) * (len(v) - v.count(0)):
+        return None
+    u = _content_reduced(u)
+    v = _content_reduced(v)
     if ref < 0:
         v = [-x for x in v]
     for x in u:
@@ -155,14 +154,10 @@ class Factorization:
         """Tensor the block factors back together at their original positions."""
         out = [1] * (1 << self.n)
         for qubits, factor in self.blocks:
-            k = len(qubits)
-            for x in range(1 << self.n):
-                if out[x] == 0:
-                    continue
-                local = 0
-                for q in qubits:
-                    local = (local << 1) | ((x >> (self.n - q)) & 1)
-                out[x] *= factor.amps[local]
+            rows, cols = _index_maps(self.n, qubits)
+            for r, amp in zip(rows, factor.amps):
+                for c in cols:
+                    out[r | c] *= amp
         return StateVector(self.n, tuple(out))
 
 

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from eqw.cli import main
+from eqw.rng import SplitMix64
 
 
 @pytest.fixture()
@@ -38,6 +39,17 @@ def test_classify_simon_r_ghz(runner):
     assert data["q"] == 1
     assert data["label"] == "genuinely-multipartite-entangled"
     jsonschema.validate(data, _schema("report-v1.json"))
+
+
+def test_classify_twelve_qubit_states_under_the_default_cap(runner):
+    # simon_canonical_state for r = 1...1 is |0...0> + |1...1>, GHZ-12
+    res = invoke(runner, "classify", "--n", "12", "--simon-r", "1" * 12)
+    data = json.loads(res.output)
+    assert data["q"] == 1
+    assert [b["qubits"] for b in data["blocks"]] == [list(range(1, 13))]
+    table = format(SplitMix64(12).bits(1 << 12), "04096b")
+    res = invoke(runner, "classify", "--n", "12", "--truth-table", table)
+    assert json.loads(res.output)["q"] == 1
 
 
 def test_classify_bv_a(runner):

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     all_sign_states,
     balanced_sign_states,
     fraction_rank,
+    interleave_product,
     naive_wht,
     sign_state_from_int,
 )
@@ -270,6 +272,22 @@ def test_odd_minus_count_states_fully_entangled(n):
             assert classify(StateVector(n, tuple(amps))).q == 1
 
 
+def _oracle_matrix(s: StateVector, subset: tuple[int, ...]) -> list[list[int]]:
+    """Reshape at a bipartition, assembled bit by bit from the basis indices."""
+    n = s.m
+    others = [q for q in range(1, n + 1) if q not in subset]
+    matrix = [[0] * (1 << len(others)) for _ in range(1 << len(subset))]
+    for x, a in enumerate(s.amps):
+        r = 0
+        for q in subset:
+            r = (r << 1) | ((x >> (n - q)) & 1)
+        c = 0
+        for q in others:
+            c = (c << 1) | ((x >> (n - q)) & 1)
+        matrix[r][c] = a
+    return matrix
+
+
 def test_schmidt_rank_against_fraction_oracle():
     rng = SplitMix64(321)
     for n in (2, 3, 4):
@@ -281,19 +299,82 @@ def test_schmidt_rank_against_fraction_oracle():
             for k in range(1, n):
                 for subset in combinations(range(1, n + 1), k):
                     p = Bipartition(n, subset)
-                    rows = 1 << k
-                    cols = 1 << (n - k)
-                    matrix = [[0] * cols for _ in range(rows)]
-                    others = [q for q in range(1, n + 1) if q not in subset]
-                    for x, a in enumerate(s.amps):
-                        r = 0
-                        for q in subset:
-                            r = (r << 1) | ((x >> (n - q)) & 1)
-                        c = 0
-                        for q in others:
-                            c = (c << 1) | ((x >> (n - q)) & 1)
-                        matrix[r][c] = a
-                    assert schmidt_rank(s, p) == fraction_rank(matrix)
+                    assert schmidt_rank(s, p) == fraction_rank(_oracle_matrix(s, subset))
+
+
+def _random_entries(rng: SplitMix64, size: int) -> list[int]:
+    """Zeros, negatives and entries above 2^64, not all zero."""
+    while True:
+        out = []
+        for _ in range(size):
+            kind = rng.below(4)
+            if kind == 0:
+                out.append(0)
+            elif kind == 1:
+                out.append(rng.below(7) - 3)
+            else:
+                out.append((rng.bits(80) + 1) * (1 if kind == 2 else -1))
+        if any(out):
+            return out
+
+
+def _primitive(vec: list[int], first_positive: bool) -> tuple[int, ...]:
+    g = math.gcd(*vec)
+    vec = [x // g for x in vec]
+    if first_positive and next(x for x in vec if x) < 0:
+        vec = [-x for x in vec]
+    return tuple(vec)
+
+
+def test_try_factor_and_schmidt_rank_on_integer_states_with_zeros():
+    rng = SplitMix64(907)
+    for n in range(2, 7):
+        for _ in range(12):
+            amps = _random_entries(rng, 1 << n)
+            if rng.below(2):  # a sparser support makes rank-1 cuts likelier
+                amps = [a if rng.below(4) == 0 else 0 for a in amps]
+            if not any(amps):
+                continue
+            s = StateVector(n, tuple(amps))
+            for k in range(1, n // 2 + 1):
+                for subset in combinations(range(1, n + 1), k):
+                    p = Bipartition(n, subset)
+                    rank = fraction_rank(_oracle_matrix(s, subset))
+                    assert schmidt_rank(s, p) == rank
+                    assert (try_factor(s, p) is not None) == (rank == 1)
+
+
+def test_try_factor_returns_primitive_factors_of_planted_products():
+    rng = SplitMix64(908)
+    for n in range(2, 7):
+        for _ in range(20):
+            k = 1 + rng.below(n - 1)
+            qubits = list(range(1, n + 1))
+            rng.shuffle(qubits)
+            subset = tuple(sorted(qubits[:k]))
+            # zero first entries push the first nonzero basis index off row and column 0
+            u_raw = [0] + _random_entries(rng, (1 << k) - 1)
+            v_raw = [0] + _random_entries(rng, (1 << (n - k)) - 1)
+            u = _primitive(u_raw, first_positive=True)
+            v = _primitive(v_raw, first_positive=False)
+            for scale in (1, -3):
+                amps = tuple(scale * a for a in interleave_product(n, subset, u, v))
+                res = try_factor(StateVector(n, amps), Bipartition(n, subset))
+                assert res is not None
+                assert res[0].amps == u
+                assert res[1].amps == (v if scale > 0 else tuple(-x for x in v))
+
+
+def test_try_factor_requires_a_rectangular_support():
+    # every nonzero entry satisfies the cross-ratio identity against the
+    # first one, but the support is not supp(column) x supp(row) on any cut
+    for s in (StateVector(2, (1, 1, 1, 0)), StateVector(3, (1, 1, 1, 0, 1, 0, 0, 0))):
+        for k in range(1, s.m):
+            for subset in combinations(range(1, s.m + 1), k):
+                p = Bipartition(s.m, subset)
+                assert try_factor(s, p) is None
+                assert schmidt_rank(s, p) == 2
+        assert classify(s).q == 1
 
 
 def test_schmidt_rank_known_values():
