@@ -16,13 +16,16 @@ from typing import Optional
 
 from .errors import ResourceCapError
 from .oracles import simon_canonical_state
-from .separability import FACTOR_CAP, finest_factorization
+from .separability import FACTOR_CAP, finest_factorization, sign_block_sizes
 from .states import StateVector
 
 FRACTION_CAP = 20
 DJ_FULL_CAP = 4
 DJ_BALANCED_CAP = 5
 GROVER_STATE_CAP = 10_000_000
+# At most one pool shard per this many placements, rounded up: a scan no
+# longer than this runs in process, as it ends before a pool would start.
+MIN_SHARD_PLACEMENTS = 16_384
 
 RELATION_EQUAL = "equal"
 RELATION_UPPER = "formula-upper-bound"
@@ -315,10 +318,15 @@ def sign_placements(n: int, m: int, lo: int = 0, hi: Optional[int] = None):
 
 
 def _scan_placements(args: tuple[int, int, int, int]) -> Counter:
-    """Histogram of finest-factorization block sizes over one rank shard."""
+    """Histogram of finest block sizes over one rank shard of placements.
+
+    Each placement goes to the ANF kernel ``sign_block_sizes`` as a packed
+    truth table; no state is built and no rank-1 test runs.
+    """
     n, m, lo, hi = args
     return Counter(
-        finest_factorization(s).block_sizes() for _, s in sign_placements(n, m, lo, hi)
+        sign_block_sizes(n, sum(1 << x for x in minus))
+        for minus in islice(combinations(range(1 << n), m), lo, hi)
     )
 
 
@@ -326,12 +334,16 @@ def _placement_histogram(n: int, m: int, workers: int) -> Counter:
     """Block-size histogram over every placement of m minus signs.
 
     Sharded by contiguous combination-rank ranges with an additive merge, so
-    the result does not depend on the worker count.
+    the result does not depend on the worker count. The scan takes at most
+    one shard per MIN_SHARD_PLACEMENTS placements, and one shard runs in
+    process.
     """
-    jobs = [(n, m, lo, hi) for lo, hi in _shard_bounds(binom(1 << n, m), workers)]
-    if workers <= 1 or len(jobs) <= 1:
+    total = binom(1 << n, m)
+    shards = min(workers, -(-total // MIN_SHARD_PLACEMENTS))
+    jobs = [(n, m, lo, hi) for lo, hi in _shard_bounds(total, shards)]
+    if len(jobs) <= 1:
         return sum(map(_scan_placements, jobs), Counter())
-    with multiprocessing.Pool(processes=workers) as pool:
+    with multiprocessing.Pool(processes=len(jobs)) as pool:
         return sum(pool.map(_scan_placements, jobs), Counter())
 
 
@@ -413,8 +425,9 @@ def enumerate_dj(
 ) -> CensusReport:
     """Exhaustively classify the balanced functions on n bits.
 
-    Runs one scan over the placements of 2^(n-1) minus signs, capped at
-    n = 4; balanced_only only raises the cap to n = 5.
+    Runs one scan over the placements of 2^(n-1) minus signs, each read by
+    the ANF kernel ``sign_block_sizes``, capped at n = 4; balanced_only only
+    raises the cap to n = 5.
     """
     if cap is None:
         cap = DJ_BALANCED_CAP if balanced_only else DJ_FULL_CAP

@@ -79,17 +79,17 @@ def _guard(fn):
         try:
             return fn(*args, **kwargs)
         except ResourceCapError as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_RESOURCE_CAP)
         except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_INPUT_ERROR)
 
     return wrapper
 
 
 def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(json.dumps(payload, indent=2), file=sys.stdout)
 
 
 def _emit_csv_rows(header: list[str], rows: list[list[str]]) -> None:
@@ -97,7 +97,7 @@ def _emit_csv_rows(header: list[str], rows: list[list[str]]) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
+    click.echo(buf.getvalue(), file=sys.stdout, nl=False)
 
 
 def _emit_table(header: list[str], rows: list[list[str]]) -> None:
@@ -105,10 +105,10 @@ def _emit_table(header: list[str], rows: list[list[str]]) -> None:
     for row in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    click.echo(fmt.format(*header).rstrip())
-    click.echo("  ".join("-" * w for w in widths))
+    click.echo(fmt.format(*header).rstrip(), file=sys.stdout)
+    click.echo("  ".join("-" * w for w in widths), file=sys.stdout)
     for row in rows:
-        click.echo(fmt.format(*row).rstrip())
+        click.echo(fmt.format(*row).rstrip(), file=sys.stdout)
 
 
 def _report_rows(report: SeparabilityReport) -> list[list[str]]:
@@ -140,7 +140,7 @@ def _emit_census(report: CensusReport, fmt: str) -> None:
     if fmt == "json":
         _emit_json(report.to_dict())
     elif fmt == "csv":
-        click.echo(report.to_csv(), nl=False)
+        click.echo(report.to_csv(), file=sys.stdout, nl=False)
     else:
         rows = [
             [
@@ -374,7 +374,7 @@ def verify_cmd(suite, n_range, workers, fmt):
         else:
             _emit_table(["status", "suite", "name", "detail"], rows)
             n_pass = sum(1 for c in checks if c.status == "pass")
-            click.echo(f"{n_pass} passed, {len(failed)} failed")
+            click.echo(f"{n_pass} passed, {len(failed)} failed", file=sys.stdout)
     if failed:
         sys.exit(EXIT_VERIFY_FAILED)
 

@@ -236,6 +236,51 @@ def classify(s: StateVector, cap: int = FACTOR_CAP) -> SeparabilityReport:
     return SeparabilityReport(q, fac.block_sizes(), label, fac)
 
 
+@lru_cache(maxsize=16)
+def _anf_masks(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
+    """Masks over a packed n-variable table, bit y standing for index y.
+
+    Returns one Möbius step (shift 2^b, mask of the indices with bit b set)
+    per variable bit b, and (b, c, mask of the monomials holding both bits)
+    per pair of variable bits.
+    """
+    size = 1 << n
+    holds = [sum(1 << y for y in range(size) if y >> b & 1) for b in range(n)]
+    steps = tuple((1 << b, holds[b]) for b in range(n))
+    pairs = tuple((b, c, holds[b] & holds[c]) for b, c in combinations(range(n), 2))
+    return steps, pairs
+
+
+def sign_block_sizes(n: int, table: int) -> tuple[int, ...]:
+    """Sorted finest block sizes of the sign vector (-1)^f, read off f's ANF.
+
+    ``table`` packs the truth table of f into one int, bit x = f(x). The state
+    (-1)^f is a hypergraph state whose hyperedges are the monomials of the
+    algebraic normal form of f, and it factors across a cut exactly when no
+    monomial holds qubits on both sides (Rossi, Huber, Bruß & Macchiavello,
+    *Quantum hypergraph states*, NJP 15, 113022, 2013). So its finest blocks
+    are the connected components of the graph that joins two qubits when
+    some monomial holds both. The ANF comes from n masked shift/XOR Möbius
+    steps, each edge from one AND against a cached pair mask. The result
+    equals ``finest_factorization(s).block_sizes()`` with no state built and
+    no rank-1 test run.
+    """
+    if n < 1 or table < 0 or table >> (1 << n):
+        raise ValueError(f"need n >= 1 and a table of 2^n bits, got n={n}")
+    steps, pairs = _anf_masks(n)
+    anf = table
+    for shift, mask in steps:
+        anf ^= (anf << shift) & mask
+    block = [1 << b for b in range(n)]
+    for b, c, mask in pairs:
+        if anf & mask and not block[b] >> c & 1:
+            merged = block[b] | block[c]
+            for d in range(n):
+                if merged >> d & 1:
+                    block[d] = merged
+    return tuple(sorted(blk.bit_count() for blk in set(block)))
+
+
 def wht(s: StateVector) -> list[int]:
     """Walsh-Hadamard spectrum of a sign vector by the in-place butterfly.
 

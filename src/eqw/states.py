@@ -18,11 +18,6 @@ def _require_qubit_count(n: int) -> None:
         raise ValueError(f"qubit count must be a positive integer, got {n!r}")
 
 
-def qubit_bit(index: int, qubit: int, m: int) -> int:
-    """Bit of basis ``index`` belonging to 1-based ``qubit`` in an m-qubit system."""
-    return (index >> (m - qubit)) & 1
-
-
 @dataclass(frozen=True)
 class BooleanFunction:
     """Truth table of f: {0,1}^n -> {0,1} as a tuple of 2^n bits, table[x] = f(x)."""
@@ -117,9 +112,6 @@ class LinearForm:
         if not 0 <= value < (1 << n):
             raise ValueError(f"value {value} out of range for {n} bits")
         return cls(n, tuple((value >> (n - i)) & 1 for i in range(1, n + 1)))
-
-    def bit_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
 
 
 def make_function(n: int, table: Sequence[int] | str) -> BooleanFunction:

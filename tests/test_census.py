@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from eqw import census
 from eqw.census import (
     CensusRow,
     binom,
@@ -378,7 +379,19 @@ def test_enumerate_grover_outside_regime_row():
 
 
 def test_enumerate_grover_workers_deterministic():
-    assert enumerate_grover(4, 2, workers=1) == enumerate_grover(4, 2, workers=3)
+    # 35,960 placements: 2 and 3 workers start pools of 2 and 3 shards
+    one = enumerate_grover(5, 4, workers=1)
+    assert one == enumerate_grover(5, 4, workers=2) == enumerate_grover(5, 4, workers=3)
+
+
+def test_short_scans_run_in_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for a short scan")
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", no_pool)
+    assert binom(16, 8) <= census.MIN_SHARD_PLACEMENTS
+    assert enumerate_dj(4, workers=2) == enumerate_dj(4, workers=1)
+    assert enumerate_grover(4, 4, workers=8) == enumerate_grover(4, 4, workers=1)
 
 
 def test_enumerate_grover_cap():

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 from importlib import resources
@@ -205,6 +206,9 @@ def test_census_workers_byte_identical(runner):
     a = invoke(runner, "census", "dj", "--n", "3", "--exhaustive", "--workers", "1")
     b = invoke(runner, "census", "dj", "--n", "3", "--exhaustive", "--workers", "8")
     assert a.output == b.output
+    # long enough a scan to start a pool
+    grover = ("census", "grover", "--n", "5", "--m", "4", "--exhaustive", "--workers")
+    assert invoke(runner, *grover, "1").output == invoke(runner, *grover, "3").output
 
 
 def test_census_caps_exit_3(runner):
@@ -264,3 +268,19 @@ def test_asymptotics_csv_roundtrip(runner):
     rows = list(csv.reader(io.StringIO(res.output)))
     assert rows[0][0] == "n"
     assert len(rows) == 1 + 5  # n = 2..6
+
+
+def test_in_process_commands_free_their_output_streams(runner):
+    # click caches the stream it echoes to by default, keyed weakly on the
+    # stream but holding it strongly, so each in-process call kept its output
+    def live_text_streams() -> int:
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    counts = []
+    for _ in range(5):
+        invoke(runner, "census", "dj", "--n", "3")
+        invoke(runner, "classify", "--n", "2", "--truth-table", "0110", "--format", "table")
+        runner.invoke(main, ["census", "dj", "--n", "5", "--exhaustive"])
+        counts.append(live_text_streams())
+    assert counts[-1] <= counts[0]

@@ -15,6 +15,7 @@ from eqw.separability import (
     full_separability_fast,
     lemma_check,
     schmidt_rank,
+    sign_block_sizes,
     try_factor,
     wht,
 )
@@ -393,3 +394,65 @@ def test_factor_iff_schmidt_rank_one(fi):
     for subset in [(1,), (2,), (1, 2), (1, 3)]:
         p = Bipartition(4, subset)
         assert (try_factor(s, p) is not None) == (schmidt_rank(s, p) == 1)
+
+
+def test_sign_block_sizes_equal_the_sweep_exhaustively():
+    # every sign vector at n = 1..4, 65,812 in all
+    bad = [
+        (n, fi)
+        for n in range(1, 5)
+        for fi, s in all_sign_states(n)
+        if sign_block_sizes(n, fi) != finest_factorization(s).block_sizes()
+    ]
+    assert bad == []
+
+
+def _planted_signs(rng: SplitMix64, n: int) -> tuple[int, ...]:
+    """Random sign vector, split across a random cut (recursively) two times in three."""
+    if n == 1 or rng.below(3) == 0:
+        fi = rng.bits(1 << n)
+        return tuple(1 - 2 * ((fi >> x) & 1) for x in range(1 << n))
+    qubits = list(range(1, n + 1))
+    rng.shuffle(qubits)
+    k = 1 + rng.below(n - 1)
+    subset = tuple(sorted(qubits[:k]))
+    return interleave_product(n, subset, _planted_signs(rng, k), _planted_signs(rng, n - k))
+
+
+def test_sign_block_sizes_equal_the_sweep_on_random_and_planted_states():
+    rng = SplitMix64(909)
+    bad = []
+    for n in range(5, 10):
+        for _ in range(100):
+            fi = rng.bits(1 << n)
+            for amps in (sign_state_from_int(n, fi).amps, _planted_signs(rng, n)):
+                packed = sum(1 << x for x, a in enumerate(amps) if a < 0)
+                want = finest_factorization(StateVector(n, amps)).block_sizes()
+                if sign_block_sizes(n, packed) != want:
+                    bad.append((n, amps))
+    assert bad == []
+
+
+@pytest.mark.parametrize("n, connected", [(2, 1), (3, 4), (4, 38), (5, 728)])
+def test_quadratic_functions_are_gme_iff_their_graph_is_connected(n, connected):
+    # an ANF of degree <= 2 gives a graph state up to local Z, GME iff its
+    # graph is connected: 2^(n+1) g(n) functions, with g(n) the connected
+    # labelled graphs on n vertices (OEIS A001187)
+    monomials = [()] + [(b,) for b in range(n)] + list(combinations(range(n), 2))
+    mono_tables = [
+        sum(1 << x for x in range(1 << n) if all(x >> b & 1 for b in mono))
+        for mono in monomials
+    ]
+    tables = [0] * (1 << len(monomials))
+    for c in range(1, len(tables)):
+        low = c & -c
+        tables[c] = tables[c ^ low] ^ mono_tables[low.bit_length() - 1]
+    gme = sum(sign_block_sizes(n, t) == (n,) for t in tables)
+    assert gme == (1 << (n + 1)) * connected
+
+
+def test_sign_block_sizes_rejects_a_table_wider_than_2_to_the_n():
+    assert sign_block_sizes(2, 0b1111) == (1, 1)
+    for n, table in ((2, 1 << 4), (2, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            sign_block_sizes(n, table)

@@ -15,3 +15,21 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_cli_names_the_stream_of_every_echo():
+    # click.echo with no file= caches each stream it meets and never frees
+    # it, so every in-process call (click.testing.CliRunner) leaked its output
+    path = Path(eqw.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "echo"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "click"
+        and not any(kw.arg == "file" for kw in node.keywords)
+    ]
+    assert found == []
