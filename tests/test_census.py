@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -397,6 +398,19 @@ def test_short_scans_run_in_process(monkeypatch):
 def test_enumerate_grover_cap():
     with pytest.raises(ResourceCapError):
         enumerate_grover(5, 4, cap_states=10_000)
+
+
+def test_scans_above_the_factor_cap_are_refused_before_they_start(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan started above the qubit cap")
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", no_scan)
+    monkeypatch.setattr(census, "_scan_placements", no_scan)
+    message = re.escape("factorization capped at 12 qubits (state has 13)")
+    with pytest.raises(ResourceCapError, match=message):
+        enumerate_grover(13, 1, workers=2)
+    with pytest.raises(ResourceCapError, match=message):
+        enumerate_dj(13, cap=13)
 
 
 def test_enumerate_simon():

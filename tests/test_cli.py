@@ -214,6 +214,9 @@ def test_census_workers_byte_identical(runner):
 def test_census_caps_exit_3(runner):
     res = runner.invoke(main, ["census", "dj", "--n", "5", "--exhaustive"])
     assert res.exit_code == 3
+    res = runner.invoke(main, ["census", "grover", "--n", "13", "--m", "1", "--exhaustive"])
+    assert res.exit_code == 3  # 13 qubits is past the classification cap
+    assert "factorization capped at 12 qubits (state has 13)" in res.output
     res = runner.invoke(main, ["census", "grover", "--n", "2", "--m", "5", "--exhaustive"])
     assert res.exit_code == 2  # M out of range is an input error
 
