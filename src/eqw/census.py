@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -17,11 +18,9 @@ from typing import Optional
 from .errors import ResourceCapError
 from .oracles import simon_canonical_state
 from .separability import FACTOR_CAP, finest_factorization, sign_block_sizes
-from .states import StateVector
 
 FRACTION_CAP = 20
 DJ_FULL_CAP = 4
-DJ_BALANCED_CAP = 5
 GROVER_STATE_CAP = 10_000_000
 # At most one pool shard per this many placements, rounded up, so a scan no
 # longer than this runs in process. On a 2-core host a two-shard pool took
@@ -315,16 +314,6 @@ def placements(n: int, m: int, lo: int = 0, hi: Optional[int] = None):
     return islice(combinations(range(1 << n), m), lo, hi)
 
 
-def sign_placements(n: int, m: int, lo: int = 0, hi: Optional[int] = None):
-    """Yield (minus positions, sign vector) for every placement in ``placements``."""
-    size = 1 << n
-    for minus_positions in placements(n, m, lo, hi):
-        amps = [1] * size
-        for x in minus_positions:
-            amps[x] = -1
-        yield minus_positions, StateVector(n, tuple(amps))
-
-
 def _scan_placements(args: tuple[int, int, int, int]) -> Counter:
     """Histogram of finest block sizes over one rank shard of placements.
 
@@ -344,13 +333,18 @@ def _placement_histogram(n: int, m: int, workers: int) -> Counter:
     Sharded by contiguous combination-rank ranges with an additive merge, so
     the result does not depend on the worker count. The scan takes at most
     one shard per MIN_SHARD_PLACEMENTS placements, and one shard runs in
-    process. States above FACTOR_CAP qubits are refused before any scan.
+    process. States above FACTOR_CAP qubits, and scans with more placements
+    than a rank range can index (sys.maxsize), are refused before any scan.
     """
     if n > FACTOR_CAP:
         raise ResourceCapError(
             f"factorization capped at {FACTOR_CAP} qubits (state has {n}); raise the cap to proceed"
         )
     total = binom(1 << n, m)
+    if total > sys.maxsize:
+        raise ResourceCapError(
+            f"placement scan capped at {sys.maxsize} placements, B(2^{n}, {m}) = {total}"
+        )
     shards = min(workers, -(-total // MIN_SHARD_PLACEMENTS))
     jobs = [(n, m, lo, hi) for lo, hi in _shard_bounds(total, shards)]
     if len(jobs) <= 1:
@@ -429,26 +423,18 @@ def _dj_rows(n: int, sizes: Optional[Counter]) -> tuple[CensusRow, ...]:
     return _report_rows(rows, sizes is not None)
 
 
-def enumerate_dj(
-    n: int,
-    balanced_only: bool = False,
-    workers: int = 1,
-    cap: Optional[int] = None,
-) -> CensusReport:
+def enumerate_dj(n: int, workers: int = 1, cap: int = DJ_FULL_CAP) -> CensusReport:
     """Exhaustively classify the balanced functions on n bits.
 
     Runs one scan over the placements of 2^(n-1) minus signs, each read by
-    the ANF kernel ``sign_block_sizes``, capped at n = 4; balanced_only only
-    raises the cap to n = 5.
+    the ANF kernel ``sign_block_sizes``, capped at n = cap.
     """
-    if cap is None:
-        cap = DJ_BALANCED_CAP if balanced_only else DJ_FULL_CAP
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > cap:
         raise ResourceCapError(
             f"balanced-function enumeration capped at n = {cap}, got {n}; the default"
-            f" caps are n = {DJ_FULL_CAP}, or n = {DJ_BALANCED_CAP} with --balanced-only"
+            f" cap is n = {DJ_FULL_CAP}, raised with --max-n"
         )
     sizes = _placement_histogram(n, 1 << (n - 1), workers)
     return CensusReport("dj", n, _dj_rows(n, sizes))

@@ -302,20 +302,17 @@ def simulate_cmd(algorithm, n, truth_table, m, solutions, r, seed, instance_path
 @click.option("--exhaustive", is_flag=True, help="Add enumeration-oracle columns.")
 @click.option("--workers", type=int, default=None,
               help="Enumeration worker processes [default: available cores].")
-@click.option("--balanced-only", is_flag=True,
-              help="dj: raise the enumeration cap to n = 5.")
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
 @click.option("--max-n", "max_n", type=int, default=None, help="Raise the n cap.")
 @_guard
-def census_cmd(algorithm, n, m, exhaustive, workers, balanced_only, fmt, max_n):
+def census_cmd(algorithm, n, m, exhaustive, workers, fmt, max_n):
     """Closed-form counts, optionally reconciled against exhaustive enumeration."""
     if workers is None:
         workers = os.cpu_count() or 1
     if algorithm == "dj":
         if exhaustive:
-            default = census_mod.DJ_BALANCED_CAP if balanced_only else census_mod.DJ_FULL_CAP
-            cap = _effective_cap(default, max_n)
-            report = enumerate_dj(n, balanced_only=balanced_only, workers=workers, cap=cap)
+            cap = _effective_cap(census_mod.DJ_FULL_CAP, max_n)
+            report = enumerate_dj(n, workers=workers, cap=cap)
         else:
             report = dj_formula_report(n)
     elif algorithm == "grover":

@@ -1,15 +1,18 @@
 """Executable invariant suites behind the CLI verify command.
 
-Each suite re-derives a family of claims by exhaustive or seeded-sample
-enumeration and reports per-check pass/fail lines with the first
-counterexample's truth table. Upper-bound gaps between closed forms and
-distinct counts are reported as informational lines; only a violated bound
-or a failed exact comparison fails a check.
+Each claim is one check function that scans the candidates it is given and
+reports pass, or fail with the first counterexample. The CLI suites and the
+acceptance tests run the same check functions on their own candidate sets.
+Upper-bound gaps between closed forms and distinct counts are reported as
+informational lines; only a violated bound or a failed exact comparison
+fails a check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+from typing import Callable, Iterable, Sequence
 
 from .census import (
     RELATION_UPPER,
@@ -17,7 +20,7 @@ from .census import (
     enumerate_dj,
     enumerate_grover,
     enumerate_simon,
-    sign_placements,
+    placements,
 )
 from .oracles import (
     dj_oracle_pipeline,
@@ -33,6 +36,7 @@ from .separability import (
     full_separability_fast,
     lemma_check,
     schmidt_rank,
+    sign_block_sizes,
     wht,
 )
 from .states import BooleanFunction, StateVector, state_from_function
@@ -53,9 +57,14 @@ class Check:
     detail: str
 
 
-def _bits(n: int, fi: int) -> str:
-    """Truth-table string of the function with integer encoding fi."""
-    return "".join(str((fi >> x) & 1) for x in range(1 << n))
+def _check(suite: str, name: str, candidates: Iterable, is_bad: Callable[..., bool],
+           fail_detail: Callable[..., str], pass_detail: str) -> Check:
+    """PASS, or FAIL with fail_detail(c) at the first candidate c where
+    is_bad(c) holds; the scan stops there."""
+    for c in candidates:
+        if is_bad(c):
+            return Check(suite, name, STATUS_FAIL, fail_detail(c))
+    return Check(suite, name, STATUS_PASS, pass_detail)
 
 
 def _sign_state(n: int, fi: int) -> StateVector:
@@ -66,76 +75,17 @@ def _function(n: int, fi: int) -> BooleanFunction:
     return BooleanFunction(n, tuple((fi >> x) & 1 for x in range(1 << n)))
 
 
-def _sample_function_ints(n: int, count: int, seed: int) -> list[int]:
-    rng = SplitMix64(seed ^ n)
-    size = 1 << n
-    return [rng.below(1 << size) for _ in range(count)]
+def function_sample(n: int, per_n: int, rng: SplitMix64, noun: str) -> tuple[Sequence[int], str]:
+    """Every function int at n <= 3, else per_n draws from rng; with the
+    mode text that a passing check reports."""
+    if n <= 3:
+        return range(1 << (1 << n)), f"exhaustive over {1 << (1 << n)} {noun}"
+    return [rng.below(1 << (1 << n)) for _ in range(per_n)], f"{per_n} seeded samples"
 
 
-def _spread(total: int, buckets: int) -> int:
-    return max(1, total // max(1, buckets))
-
-
-def verify_wht(ns: list[int]) -> list[Check]:
-    """Spectral full-separability test against the factorization engine."""
-    checks = []
-    sampled_ns = [n for n in ns if n > 3]
-    per_n = _spread(SAMPLE_BUDGET, len(sampled_ns)) if sampled_ns else 0
-    for n in ns:
-        size = 1 << n
-        if n <= 3:
-            candidates = range(1 << size)
-            mode = f"exhaustive over {1 << size} sign vectors"
-        else:
-            candidates = _sample_function_ints(n, per_n, _SAMPLE_SEED)
-            mode = f"{per_n} seeded samples"
-        bad = None
-        parseval_bad = None
-        for fi in candidates:
-            s = _sign_state(n, fi)
-            spectral = full_separability_fast(s) is not None
-            engine = classify(s).q == n
-            if spectral != engine:
-                bad = fi
-                break
-            if n <= 3:
-                spectrum = wht(s)
-                if sum(c * c for c in spectrum) != 1 << (2 * n):
-                    parseval_bad = fi
-                    break
-        if bad is not None:
-            checks.append(
-                Check(
-                    "wht",
-                    f"spectral-vs-engine n={n}",
-                    STATUS_FAIL,
-                    f"disagreement at truth table {_bits(n, bad)}",
-                )
-            )
-        else:
-            checks.append(
-                Check("wht", f"spectral-vs-engine n={n}", STATUS_PASS, mode)
-            )
-        if n <= 3:
-            if parseval_bad is not None:
-                checks.append(
-                    Check(
-                        "wht",
-                        f"parseval n={n}",
-                        STATUS_FAIL,
-                        f"sum of squares wrong at truth table {_bits(n, parseval_bad)}",
-                    )
-                )
-            else:
-                checks.append(
-                    Check(
-                        "wht",
-                        f"parseval n={n}",
-                        STATUS_PASS,
-                        f"sum of squared coefficients = 2^{2 * n} on all sign vectors",
-                    )
-                )
-    return checks
+def _per_n(ns: list[int]) -> int:
+    """SAMPLE_BUDGET shared out over the sampled (n > 3) sizes."""
+    return max(1, SAMPLE_BUDGET // max(1, sum(n > 3 for n in ns)))
 
 
 def _compositions(n: int) -> list[tuple[int, ...]]:
@@ -156,104 +106,175 @@ def _compositions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def check_spectral(n: int, fis: Iterable[int], mode: str) -> Check:
+    """The WHT full-separability test agrees with the engine on each table."""
+
+    def disagree(fi: int) -> bool:
+        s = _sign_state(n, fi)
+        return (full_separability_fast(s) is not None) != (classify(s).q == n)
+
+    return _check("wht", f"spectral-vs-engine n={n}", fis, disagree,
+                  lambda fi: f"disagreement at truth table {_function(n, fi).bits()}", mode)
+
+
+def check_parseval(n: int) -> Check:
+    """Every sign vector's squared WHT coefficients sum to 2^(2n)."""
+    return _check("wht", f"parseval n={n}", range(1 << (1 << n)),
+                  lambda fi: sum(c * c for c in wht(_sign_state(n, fi))) != 1 << (2 * n),
+                  lambda fi: f"sum of squares wrong at truth table {_function(n, fi).bits()}",
+                  f"sum of squared coefficients = 2^{2 * n} on all sign vectors")
+
+
+def check_lemma_product(n: int) -> Check:
+    """A product of sign vectors is balanced iff one of its factors is."""
+    splits = _compositions(n)
+    tuples = (
+        (parts, signs)
+        for parts in splits
+        for signs in product(*(range(1 << (1 << k)) for k in parts))
+    )
+    count = sum(prod(1 << (1 << k) for k in parts) for parts in splits)
+
+    def disagree(c) -> bool:
+        parts, signs = c
+        prod_bal, any_bal = lemma_check([_sign_state(k, fi) for k, fi in zip(parts, signs)])
+        return prod_bal != any_bal
+
+    return _check("lemma", f"product-direction n={n}", tuples, disagree,
+                  lambda c: f"factor sizes {c[0]} signs {c[1]} disagree",
+                  f"{count} factor tuples, product balanced iff a factor is")
+
+
+def check_lemma_decomposition(n: int) -> Check:
+    """Every balanced sign vector that splits has a balanced block.
+
+    The ANF kernel screens out the vectors with one block, so only the
+    splittable ones are built and factored.
+    """
+
+    def no_balanced_block(table: int) -> bool:
+        if len(sign_block_sizes(n, table)) < 2:
+            return False
+        rep = classify(_sign_state(n, table))
+        return rep.q >= 2 and not any(
+            f.plus_count() == f.minus_count() for _, f in rep.factorization.blocks
+        )
+
+    tables = (sum(1 << x for x in minus) for minus in placements(n, 1 << (n - 1)))
+    return _check("lemma", f"decomposition-direction n={n}", tables, no_balanced_block,
+                  lambda t: f"no balanced block for balanced table {_function(n, t).bits()}",
+                  "every splittable balanced sign vector has a balanced block")
+
+
+def check_pipeline(n: int, fis: Iterable[int], mode: str) -> Check:
+    """The DJ oracle pipeline equals direct construction, ancilla (+1, -1)."""
+
+    def deviates(fi: int) -> bool:
+        f = _function(n, fi)
+        register, target = dj_oracle_pipeline(f)
+        return register.amps != state_from_function(f).amps or target.amps != (1, -1)
+
+    return _check("dj", f"pipeline-equivalence n={n}", fis, deviates,
+                  lambda fi: f"pipeline deviates at truth table {_function(n, fi).bits()}", mode)
+
+
+def _simon_class_problem(n: int, r: int) -> str | None:
+    """Why period r's collapsed state breaks q = n - wt(r) + 1 with one
+    all-or-nothing block on the period bits, or None if it does not."""
+    rep = classify(simon_canonical_state(n, r))
+    k = r.bit_count()
+    if rep.q != n - k + 1:
+        return f"q = {rep.q}, expected {n - k + 1}"
+    if k >= 2:
+        ones = tuple(q for q in range(1, n + 1) if (r >> (n - q)) & 1)
+        ghz = tuple(1 if x in (0, (1 << k) - 1) else 0 for x in range(1 << k))
+        block = next((b for b in rep.factorization.blocks if len(b[0]) > 1), None)
+        if block is None or block[0] != ones or block[1].amps != ghz:
+            return "period bits do not form a single all-or-nothing block"
+    return None
+
+
+def check_simon_classes(n: int) -> Check:
+    """Every period's collapsed state is in class q = n - wt(r) + 1."""
+    return _check("simon", f"collapsed-classes n={n}", range(1, 1 << n),
+                  lambda r: _simon_class_problem(n, r) is not None,
+                  lambda r: f"period {r:0{n}b}: {_simon_class_problem(n, r)}",
+                  f"all {(1 << n) - 1} periods in class q = n - wt(r) + 1")
+
+
+def check_seed_invariance(n: int, periods: Iterable[int], instance_seed: int,
+                          seeds: Sequence[int]) -> Check:
+    """A period's collapse has the same block sizes under every seed."""
+
+    def changed_at(r: int) -> int | None:
+        inst = make_simon_instance(n, r, seed=instance_seed)
+        sizes = [classify(simon_measure(inst, seed).collapsed).block_sizes for seed in seeds]
+        return next((seed for seed, s in zip(seeds, sizes) if s != sizes[0]), None)
+
+    return _check("simon", f"collapse-seed-invariance n={n}", periods,
+                  lambda r: changed_at(r) is not None,
+                  lambda r: f"period {r:0{n}b} changed class at seed {changed_at(r)}",
+                  f"block sizes stable across {len(seeds)} seeds")
+
+
+def check_register_rank(n: int, instance_seed: int) -> Check:
+    """The global state has rank 2^(n-1) across the register cut, every period."""
+    cut = Bipartition(2 * n, tuple(range(1, n + 1)))
+
+    def rank(r: int) -> int:
+        return schmidt_rank(simon_global_state(make_simon_instance(n, r, seed=instance_seed)), cut)
+
+    return _check("simon", f"register-rank n={n}", range(1, 1 << n),
+                  lambda r: rank(r) != 1 << (n - 1),
+                  lambda r: f"period {r:0{n}b} gives rank != 2^(n-1)",
+                  f"rank across the register cut = {1 << (n - 1)} for all periods")
+
+
+def check_odd_m_entangled(n: int, m: int, report) -> Check:
+    """Every Grover state with an odd solution count m is genuinely entangled."""
+    q1 = next((r.oracle for r in report.rows if r.class_name == "q-1"), 0)
+    total = next(r.oracle for r in report.rows if r.class_name == "total")
+    return _check("grover", f"odd-M-entangled n={n} M={m}", [total - q1],
+                  lambda split: split != 0,
+                  lambda split: f"{split} states with an odd solution count split",
+                  f"all {total} states genuinely entangled")
+
+
+def census_checks(suite: str, report, label: str) -> list[Check]:
+    """One FAIL per violated census relation; else a PASS and one INFO line
+    per upper-bound row that has an enumerated count."""
+    failures = report.failures()
+    if failures:
+        return [Check(suite, label, STATUS_FAIL, msg) for msg in failures]
+    return [Check(suite, label, STATUS_PASS, "all asserted census relations hold")] + [
+        Check(suite, f"{label} {row.class_name}", STATUS_INFO,
+              f"upper bound: formula {row.formula} >= distinct {row.oracle}")
+        for row in report.rows
+        if row.relation == RELATION_UPPER and row.oracle is not None
+    ]
+
+
+def verify_wht(ns: list[int]) -> list[Check]:
+    """Spectral full-separability test against the factorization engine."""
+    checks = []
+    per_n = _per_n(ns)
+    for n in ns:
+        rng = SplitMix64(_SAMPLE_SEED ^ n)
+        checks.append(check_spectral(n, *function_sample(n, per_n, rng, "sign vectors")))
+        if n <= 3:
+            checks.append(check_parseval(n))
+    return checks
+
+
 def verify_lemma(ns: list[int]) -> list[Check]:
     """Balancedness of products vs factors, in both directions."""
     checks = []
     for n in ns:
         if n > 4:
-            checks.append(
-                Check(
-                    "lemma",
-                    f"product-direction n={n}",
-                    STATUS_INFO,
-                    "skipped: exhaustive product enumeration runs up to n = 4",
-                )
-            )
-            continue
-        bad = None
-        tried = 0
-        for parts in _compositions(n):
-            spaces = [range(1 << (1 << k)) for k in parts]
-            for signs in product(*spaces):
-                factors = [_sign_state(k, fi) for k, fi in zip(parts, signs)]
-                tried += 1
-                prod_bal, any_bal = lemma_check(factors)
-                if prod_bal != any_bal:
-                    bad = (parts, signs)
-                    break
-            if bad:
-                break
-        if bad:
-            checks.append(
-                Check(
-                    "lemma",
-                    f"product-direction n={n}",
-                    STATUS_FAIL,
-                    f"factor sizes {bad[0]} signs {bad[1]} disagree",
-                )
-            )
+            checks.append(Check("lemma", f"product-direction n={n}", STATUS_INFO,
+                                "skipped: exhaustive product enumeration runs up to n = 4"))
         else:
-            checks.append(
-                Check(
-                    "lemma",
-                    f"product-direction n={n}",
-                    STATUS_PASS,
-                    f"{tried} factor tuples, product balanced iff a factor is",
-                )
-            )
-        bad_fi = None
-        for minus, s in sign_placements(n, 1 << (n - 1)):
-            rep = classify(s)
-            if rep.q < 2:
-                continue
-            blocks_balanced = any(
-                f.plus_count() == f.minus_count()
-                for _, f in rep.factorization.blocks
-            )
-            if not blocks_balanced:
-                bad_fi = sum(1 << x for x in minus)
-                break
-        if bad_fi is not None:
-            checks.append(
-                Check(
-                    "lemma",
-                    f"decomposition-direction n={n}",
-                    STATUS_FAIL,
-                    f"no balanced block for balanced table {_bits(n, bad_fi)}",
-                )
-            )
-        else:
-            checks.append(
-                Check(
-                    "lemma",
-                    f"decomposition-direction n={n}",
-                    STATUS_PASS,
-                    "every splittable balanced sign vector has a balanced block",
-                )
-            )
-    return checks
-
-
-def _census_checks(suite: str, report, label: str) -> list[Check]:
-    checks = []
-    failures = report.failures()
-    if failures:
-        for msg in failures:
-            checks.append(Check(suite, label, STATUS_FAIL, msg))
-        return checks
-    checks.append(
-        Check(suite, label, STATUS_PASS, "all asserted census relations hold")
-    )
-    for row in report.rows:
-        if row.relation == RELATION_UPPER and row.oracle is not None:
-            checks.append(
-                Check(
-                    suite,
-                    f"{label} {row.class_name}",
-                    STATUS_INFO,
-                    f"upper bound: formula {row.formula} >= distinct {row.oracle}",
-                )
-            )
+            checks += [check_lemma_product(n), check_lemma_decomposition(n)]
     return checks
 
 
@@ -262,56 +283,17 @@ def verify_dj(ns: list[int], workers: int = 1) -> list[Check]:
     checks = []
     for n in ns:
         a, b = count_dj_bisep_upper(n)
-        if a != b:
-            checks.append(
-                Check("dj", f"bound-forms n={n}", STATUS_FAIL, f"{a} != {b}")
-            )
-        else:
-            checks.append(
-                Check("dj", f"bound-forms n={n}", STATUS_PASS, f"both forms give {a}")
-            )
+        checks.append(_check("dj", f"bound-forms n={n}", [(a, b)], lambda ab: ab[0] != ab[1],
+                             lambda ab: f"{ab[0]} != {ab[1]}", f"both forms give {a}"))
         if n <= 4:
-            checks.extend(
-                _census_checks("dj", enumerate_dj(n, workers=workers), f"census n={n}")
-            )
+            checks += census_checks("dj", enumerate_dj(n, workers=workers), f"census n={n}")
         else:
-            checks.append(
-                Check(
-                    "dj",
-                    f"census n={n}",
-                    STATUS_INFO,
-                    "skipped: full enumeration is capped at n = 4",
-                )
-            )
-    sampled_ns = [n for n in ns if n > 3]
-    per_n = _spread(SAMPLE_BUDGET, len(sampled_ns)) if sampled_ns else 0
+            checks.append(Check("dj", f"census n={n}", STATUS_INFO,
+                                "skipped: full enumeration is capped at n = 4"))
+    per_n = _per_n(ns)
     for n in ns:
-        if n <= 3:
-            candidates = range(1 << (1 << n))
-            mode = f"exhaustive over {1 << (1 << n)} functions"
-        else:
-            candidates = _sample_function_ints(n, per_n, _SAMPLE_SEED + 1)
-            mode = f"{per_n} seeded samples"
-        bad = None
-        for fi in candidates:
-            f = _function(n, fi)
-            register, target = dj_oracle_pipeline(f)
-            if register.amps != state_from_function(f).amps or target.amps != (1, -1):
-                bad = fi
-                break
-        if bad is not None:
-            checks.append(
-                Check(
-                    "dj",
-                    f"pipeline-equivalence n={n}",
-                    STATUS_FAIL,
-                    f"pipeline deviates at truth table {_bits(n, bad)}",
-                )
-            )
-        else:
-            checks.append(
-                Check("dj", f"pipeline-equivalence n={n}", STATUS_PASS, mode)
-            )
+        rng = SplitMix64((_SAMPLE_SEED + 1) ^ n)
+        checks.append(check_pipeline(n, *function_sample(n, per_n, rng, "functions")))
     return checks
 
 
@@ -321,28 +303,9 @@ def verify_grover(ns: list[int], workers: int = 1) -> list[Check]:
     for n in ns:
         for m in range(1, min(4, (1 << n) - 1) + 1):
             report = enumerate_grover(n, m, workers=workers)
-            checks.extend(_census_checks("grover", report, f"census n={n} M={m}"))
+            checks += census_checks("grover", report, f"census n={n} M={m}")
             if m % 2 == 1:
-                q1 = next((r.oracle for r in report.rows if r.class_name == "q-1"), 0)
-                total = next(r.oracle for r in report.rows if r.class_name == "total")
-                if q1 != total:
-                    checks.append(
-                        Check(
-                            "grover",
-                            f"odd-M-entangled n={n} M={m}",
-                            STATUS_FAIL,
-                            f"{total - q1} states with an odd solution count split",
-                        )
-                    )
-                else:
-                    checks.append(
-                        Check(
-                            "grover",
-                            f"odd-M-entangled n={n} M={m}",
-                            STATUS_PASS,
-                            f"all {total} states genuinely entangled",
-                        )
-                    )
+                checks.append(check_odd_m_entangled(n, m, report))
     return checks
 
 
@@ -352,109 +315,11 @@ def verify_simon(ns: list[int], seeds: tuple[int, ...] = (0, 1, 2, 7, 11)) -> li
     for n in ns:
         if n < 2:
             continue
-        checks.extend(_census_checks("simon", enumerate_simon(n), f"census n={n}"))
-        bad = None
-        for r in range(1, 1 << n):
-            rep = classify(simon_canonical_state(n, r))
-            k = r.bit_count()
-            ones = tuple(q for q in range(1, n + 1) if (r >> (n - q)) & 1)
-            if rep.q != n - k + 1:
-                bad = (r, f"q = {rep.q}, expected {n - k + 1}")
-                break
-            if k >= 2:
-                block = next(
-                    (
-                        (qs, f)
-                        for qs, f in rep.factorization.blocks
-                        if len(qs) > 1
-                    ),
-                    None,
-                )
-                ghz = tuple(
-                    1 if x in (0, (1 << k) - 1) else 0 for x in range(1 << k)
-                )
-                if block is None or block[0] != ones or block[1].amps != ghz:
-                    bad = (r, "period bits do not form a single all-or-nothing block")
-                    break
-        if bad is not None:
-            checks.append(
-                Check(
-                    "simon",
-                    f"collapsed-classes n={n}",
-                    STATUS_FAIL,
-                    f"period {bad[0]:0{n}b}: {bad[1]}",
-                )
-            )
-        else:
-            checks.append(
-                Check(
-                    "simon",
-                    f"collapsed-classes n={n}",
-                    STATUS_PASS,
-                    f"all {(1 << n) - 1} periods in class q = n - wt(r) + 1",
-                )
-            )
-        bad = None
-        for r in sorted({1, 0b11, (1 << n) - 1}):
-            inst = make_simon_instance(n, r, seed=1234)
-            sizes = None
-            for seed in seeds:
-                outcome = simon_measure(inst, seed)
-                rep = classify(outcome.collapsed)
-                if sizes is None:
-                    sizes = rep.block_sizes
-                elif rep.block_sizes != sizes:
-                    bad = (r, seed)
-                    break
-            if bad:
-                break
-        if bad:
-            checks.append(
-                Check(
-                    "simon",
-                    f"collapse-seed-invariance n={n}",
-                    STATUS_FAIL,
-                    f"period {bad[0]:0{n}b} changed class at seed {bad[1]}",
-                )
-            )
-        else:
-            checks.append(
-                Check(
-                    "simon",
-                    f"collapse-seed-invariance n={n}",
-                    STATUS_PASS,
-                    f"block sizes stable across {len(seeds)} seeds",
-                )
-            )
+        checks += census_checks("simon", enumerate_simon(n), f"census n={n}")
+        checks.append(check_simon_classes(n))
+        checks.append(check_seed_invariance(n, sorted({1, 0b11, (1 << n) - 1}), 1234, seeds))
         if n <= 4:
-            bad = None
-            for r in range(1, 1 << n):
-                inst = make_simon_instance(n, r, seed=99)
-                rank = schmidt_rank(
-                    simon_global_state(inst),
-                    Bipartition(2 * n, tuple(range(1, n + 1))),
-                )
-                if rank != 1 << (n - 1):
-                    bad = r
-                    break
-            if bad is not None:
-                checks.append(
-                    Check(
-                        "simon",
-                        f"register-rank n={n}",
-                        STATUS_FAIL,
-                        f"period {bad:0{n}b} gives rank != 2^(n-1)",
-                    )
-                )
-            else:
-                checks.append(
-                    Check(
-                        "simon",
-                        f"register-rank n={n}",
-                        STATUS_PASS,
-                        f"rank across the register cut = {1 << (n - 1)} for all periods",
-                    )
-                )
+            checks.append(check_register_rank(n, 99))
     return checks
 
 

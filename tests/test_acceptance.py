@@ -2,12 +2,14 @@
 
 Each criterion gathers its own evidence into a problem list, announces the
 verdict on an uncaptured stream, then asserts the list is empty, so exactly
-one line appears per criterion regardless of outcome.
+one line appears per criterion regardless of outcome. Criteria 4 to 7 run
+the same check functions as the CLI verify suites, on their own candidates.
 """
+import hashlib
 import json
 import math
 import time
-from itertools import product
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -22,30 +24,28 @@ from eqw.census import (
     grover_bisep_fraction_log2,
 )
 from eqw.cli import main as cli_main
-from eqw.oracles import (
-    dj_oracle_pipeline,
-    make_simon_instance,
-    simon_canonical_state,
-    simon_global_state,
-    simon_measure,
-)
 from eqw.rng import SplitMix64
-from eqw.separability import (
-    Bipartition,
-    classify,
-    full_separability_fast,
-    lemma_check,
-    schmidt_rank,
-    wht,
+from eqw.verify import (
+    STATUS_FAIL,
+    check_lemma_decomposition,
+    check_lemma_product,
+    check_odd_m_entangled,
+    check_parseval,
+    check_pipeline,
+    check_register_rank,
+    check_seed_invariance,
+    check_simon_classes,
+    check_spectral,
+    function_sample,
 )
-from eqw.states import state_from_function
 
-from conftest import (
-    all_sign_states,
-    balanced_sign_states,
-    function_from_int,
-    sign_state_from_int,
+PINNED_DIGESTS = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "cli_digests.json"
 )
+
+
+def _failures(checks) -> list[str]:
+    return [f"{c.name}: {c.detail}" for c in checks if c.status == STATUS_FAIL]
 
 
 def _report(capsys, number: int, description: str, problems: list[str]) -> None:
@@ -146,12 +146,10 @@ def test_criterion_3_dj_entanglement_trend(capsys):
 
 
 def test_criterion_4_grover(capsys):
-    problems = []
+    problems = _failures(
+        check_odd_m_entangled(n, m, enumerate_grover(n, m)) for n in (3, 4) for m in (1, 3)
+    )
     for n in (3, 4):
-        for m in (1, 3):
-            rows = {r.class_name: r for r in enumerate_grover(n, m).rows}
-            if rows["q-1"].oracle != rows["total"].oracle:
-                problems.append(f"n={n} M={m}: not all states genuinely entangled")
         rows = {r.class_name: r for r in enumerate_grover(n, 2).rows}
         expected = n * (1 << (n - 1))
         if rows["biseparable"].oracle != expected or rows["biseparable"].relation != "equal":
@@ -176,128 +174,51 @@ def test_criterion_4_grover(capsys):
 
 
 def test_criterion_5_simon(capsys):
-    problems = []
-    for n in range(2, 7):
-        per_weight = [0] * (n + 1)
-        for r in range(1, 1 << n):
-            k = r.bit_count()
-            per_weight[k] += 1
-            rep = classify(simon_canonical_state(n, r))
-            if rep.q != n - k + 1:
-                problems.append(f"n={n} r={r:0{n}b}: q={rep.q} != {n - k + 1}")
-                break
-            if k >= 2:
-                ones = tuple(q for q in range(1, n + 1) if (r >> (n - q)) & 1)
-                ghz = tuple(1 if x in (0, (1 << k) - 1) else 0 for x in range(1 << k))
-                blocks = dict(rep.factorization.blocks)
-                if ones not in blocks or blocks[ones].amps != ghz:
-                    problems.append(f"n={n} r={r:0{n}b}: period bits not one GHZ block")
-                    break
-        for k in range(1, n + 1):
-            if per_weight[k] != math.comb(n, k):
-                problems.append(f"n={n}: weight-{k} count {per_weight[k]} != B({n},{k})")
-    for n, r in [(3, "110"), (4, "1011"), (5, "10101")]:
-        inst = make_simon_instance(n, r, seed=77)
-        sizes = {
-            classify(simon_measure(inst, seed).collapsed).block_sizes
-            for seed in range(12)
-        }
-        if len(sizes) != 1:
-            problems.append(f"n={n} r={r}: collapse class varies with seed")
-    for n in (2, 3, 4):
-        cut = Bipartition(2 * n, tuple(range(1, n + 1)))
-        for r in range(1, 1 << n):
-            inst = make_simon_instance(n, r, seed=5)
-            if schmidt_rank(simon_global_state(inst), cut) != 1 << (n - 1):
-                problems.append(f"n={n} r={r:0{n}b}: register rank != 2^(n-1)")
-                break
+    checks = [check_simon_classes(n) for n in range(2, 7)]
+    checks += [
+        check_seed_invariance(n, [r], 77, range(12))
+        for n, r in [(3, 0b110), (4, 0b1011), (5, 0b10101)]
+    ]
+    checks += [check_register_rank(n, 5) for n in (2, 3, 4)]
     _report(
         capsys,
         5,
         "period weight sets the class for all r at n=2..6; rank and seed invariance hold",
-        problems,
+        _failures(checks),
     )
 
 
 def test_criterion_6_pipeline_equivalence(capsys):
-    problems = []
-    checked = 0
-    for n in (1, 2, 3):
-        for fi in range(1 << (1 << n)):
-            f = function_from_int(n, fi)
-            register, target = dj_oracle_pipeline(f)
-            if register.amps != state_from_function(f).amps or target.amps != (1, -1):
-                problems.append(f"exhaustive n={n} table {f.bits()}")
-                break
-            checked += 1
+    # exhaustive at n = 1..3, then 2000 draws per n = 4..8 from one generator
     rng = SplitMix64(0xACCE)
-    per_n = 2000
-    for n in range(4, 9):
-        for _ in range(per_n):
-            f = function_from_int(n, rng.below(1 << (1 << n)))
-            register, target = dj_oracle_pipeline(f)
-            if register.amps != state_from_function(f).amps or target.amps != (1, -1):
-                problems.append(f"sampled n={n} table {f.bits()}")
-                break
-            checked += 1
+    samples = [(n, *function_sample(n, 2000, rng, "functions")) for n in range(1, 9)]
+    checked = sum(len(fis) for _, fis, _ in samples)
     _report(
         capsys,
         6,
         f"oracle pipeline equals direct construction with ancilla (+1,-1) ({checked} cases)",
-        problems,
+        _failures(check_pipeline(*sample) for sample in samples),
     )
 
 
 def test_criterion_7_separability_engine(capsys):
-    problems = []
-    for n in (2, 3):
-        for fi, s in all_sign_states(n):
-            if (full_separability_fast(s) is not None) != (classify(s).q == n):
-                problems.append(f"spectral/engine split at n={n} fi={fi}")
-                break
-            if sum(c * c for c in wht(s)) != 1 << (2 * n):
-                problems.append(f"Parseval fails at n={n} fi={fi}")
-                break
+    # exhaustive at n = 2, 3, then 3334 draws per n = 4..6 from one generator
     rng = SplitMix64(0x7AB)
-    for n in (4, 5, 6):
-        for _ in range(3334):
-            s = sign_state_from_int(n, rng.below(1 << (1 << n)))
-            if (full_separability_fast(s) is not None) != (classify(s).q == n):
-                problems.append(f"spectral/engine split at n={n}")
-                break
-    for n in (2, 3, 4):
-        splits = []
-
-        def compositions(rest, acc):
-            if rest == 0:
-                if len(acc) >= 2:
-                    splits.append(acc)
-                return
-            for part in range(1, rest + 1):
-                compositions(rest - part, acc + (part,))
-
-        compositions(n, ())
-        for parts in splits:
-            spaces = [range(1 << (1 << k)) for k in parts]
-            for signs in product(*spaces):
-                factors = [sign_state_from_int(k, fi) for k, fi in zip(parts, signs)]
-                prod_bal, any_bal = lemma_check(factors)
-                if prod_bal != any_bal:
-                    problems.append(f"product direction fails at {parts} {signs}")
-                    break
-        for s in balanced_sign_states(n):
-            rep = classify(s)
-            if rep.q >= 2 and not any(
-                f.plus_count() == f.minus_count() for _, f in rep.factorization.blocks
-            ):
-                problems.append(f"decomposition direction fails at n={n}")
-                break
+    checks = [
+        check_spectral(n, *function_sample(n, 3334, rng, "sign vectors")) for n in range(2, 7)
+    ]
+    checks += [check_parseval(n) for n in (2, 3)]
+    checks += [
+        check(n)
+        for n in (2, 3, 4)
+        for check in (check_lemma_product, check_lemma_decomposition)
+    ]
     _report(
         capsys,
         7,
         "spectral test tracks the engine exhaustively and on samples; both factor-"
         "balance directions hold to n=4",
-        problems,
+        _failures(checks),
     )
 
 
@@ -325,6 +246,13 @@ def test_criterion_8_determinism_and_runtime(capsys):
     elapsed = time.monotonic() - start
     if res.exit_code != 0:
         problems.append(f"verify --suite all --n 2..4 exited {res.exit_code}")
+    # the output does not depend on the worker count, so the pinned
+    # two-worker digest holds for this run too
+    pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))
+    if hashlib.sha256(res.stdout_bytes).hexdigest() != pinned[
+        "verify --suite all --n 2..4 --workers 2"
+    ]:
+        problems.append("verify --suite all --n 2..4 stdout differs from its pinned digest")
     if elapsed >= 300.0:
         problems.append(f"verify took {elapsed:.0f}s >= 300s")
     _report(

@@ -293,15 +293,6 @@ def test_enumerate_dj_workers_deterministic():
     assert enumerate_dj(3, workers=1) == enumerate_dj(3, workers=8)
 
 
-def test_enumerate_dj_balanced_only_matches_full():
-    assert enumerate_dj(3, balanced_only=True).rows == enumerate_dj(3).rows
-    # balanced_only only raises the cap: both run the same balanced-placement
-    # scan, whatever the worker count
-    assert (
-        enumerate_dj(4, balanced_only=True, workers=3).rows == enumerate_dj(4).rows
-    )
-
-
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumerate_dj_matches_grover_at_half_solutions(n, workers):
@@ -323,7 +314,7 @@ def test_enumerate_dj_caps():
     with pytest.raises(ResourceCapError):
         enumerate_dj(5)
     with pytest.raises(ResourceCapError):
-        enumerate_dj(6, balanced_only=True)
+        enumerate_dj(6, cap=5)
     with pytest.raises(ValueError):
         enumerate_dj(1)
 
@@ -411,6 +402,19 @@ def test_scans_above_the_factor_cap_are_refused_before_they_start(monkeypatch):
         enumerate_grover(13, 1, workers=2)
     with pytest.raises(ResourceCapError, match=message):
         enumerate_dj(13, cap=13)
+
+
+def test_scans_too_long_to_index_are_refused_before_they_start(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan started past the placement index")
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", no_scan)
+    monkeypatch.setattr(census, "_scan_placements", no_scan)
+    # C(128, 64) placements at n = 7 are more than islice can index
+    with pytest.raises(ResourceCapError, match="placement scan capped"):
+        enumerate_dj(7, cap=7)
+    with pytest.raises(ResourceCapError, match="placement scan capped"):
+        enumerate_dj(12, workers=2, cap=12)
 
 
 def test_enumerate_simon():

@@ -31,15 +31,6 @@ def test_pipeline_matches_direct_construction_n2():
     assert prepare_dj_state(f).amps == (1, -1, -1, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_pipeline_exhaustive(n):
-    for fi in range(1 << (1 << n)):
-        f = function_from_int(n, fi)
-        register, target = dj_oracle_pipeline(f)
-        assert register.amps == state_from_function(f).amps
-        assert target.amps == (1, -1)
-
-
 def test_pipeline_sampled_large_n():
     rng = SplitMix64(7)
     for n in range(4, 9):

@@ -32,7 +32,6 @@ from eqw.states import (
 
 from conftest import (
     all_sign_states,
-    balanced_sign_states,
     fraction_rank,
     interleave_product,
     naive_wht,
@@ -197,12 +196,6 @@ def test_full_separability_fast_examples():
     assert full_separability_fast(state_from_function(make_function(2, "0001"))) is None
 
 
-def test_fast_path_equals_engine_exhaustive():
-    for n in (2, 3):
-        for _, s in all_sign_states(n):
-            assert (full_separability_fast(s) is not None) == (classify(s).q == n)
-
-
 def test_fast_path_equals_engine_sampled():
     rng = SplitMix64(99)
     per_n = 3334
@@ -228,17 +221,6 @@ def test_lemma_agreement_all_pairs_1x2():
             v = sign_state_from_int(2, vb)
             prod_bal, any_bal = lemma_check([u, v])
             assert prod_bal == any_bal
-
-
-def test_lemma_decomposition_direction():
-    for n in (2, 3, 4):
-        for s in balanced_sign_states(n):
-            rep = classify(s)
-            if rep.q >= 2:
-                assert any(
-                    f.plus_count() == f.minus_count()
-                    for _, f in rep.factorization.blocks
-                )
 
 
 def test_local_x_invariance_of_class():
