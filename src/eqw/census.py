@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -22,6 +21,9 @@ from .separability import FACTOR_CAP, finest_factorization, sign_block_sizes
 FRACTION_CAP = 20
 DJ_FULL_CAP = 4
 GROVER_STATE_CAP = 10_000_000
+# Placements one scan may walk: above DJ n = 5 (601,080,390), which --max-n 5
+# allows, and far below DJ n = 6 (1.8e18), which would run for centuries.
+PLACEMENT_CAP = 10**9
 # At most one pool shard per this many placements, rounded up, so a scan no
 # longer than this runs in process. On a 2-core host a two-shard pool took
 # 64 ms against 54 ms in process for DJ n = 4 (12,870 placements) and 179 ms
@@ -333,17 +335,17 @@ def _placement_histogram(n: int, m: int, workers: int) -> Counter:
     Sharded by contiguous combination-rank ranges with an additive merge, so
     the result does not depend on the worker count. The scan takes at most
     one shard per MIN_SHARD_PLACEMENTS placements, and one shard runs in
-    process. States above FACTOR_CAP qubits, and scans with more placements
-    than a rank range can index (sys.maxsize), are refused before any scan.
+    process. States above FACTOR_CAP qubits, and scans of more than
+    PLACEMENT_CAP placements, are refused before any scan.
     """
     if n > FACTOR_CAP:
         raise ResourceCapError(
             f"factorization capped at {FACTOR_CAP} qubits (state has {n}); raise the cap to proceed"
         )
     total = binom(1 << n, m)
-    if total > sys.maxsize:
+    if total > PLACEMENT_CAP:
         raise ResourceCapError(
-            f"placement scan capped at {sys.maxsize} placements, B(2^{n}, {m}) = {total}"
+            f"placement scan capped at {PLACEMENT_CAP} placements, B(2^{n}, {m}) = {total}"
         )
     shards = min(workers, -(-total // MIN_SHARD_PLACEMENTS))
     jobs = [(n, m, lo, hi) for lo, hi in _shard_bounds(total, shards)]

@@ -91,8 +91,22 @@ class SimonInstance:
             raise ValueError(f"need n >= 2, got {self.n}")
         if not 0 < self.r < (1 << self.n):
             raise ValueError(f"period must be a nonzero {self.n}-bit value, got {self.r}")
-        if len(self.table) != 1 << self.n:
+        size = 1 << self.n
+        table, r = self.table, self.r
+        if len(table) != size:
             raise ValueError("table must cover all 2^n inputs")
+        # Once outputs are in range and periodic, no output is shared beyond
+        # its coset exactly when there is one output per coset.
+        if (
+            min(table) < 0
+            or max(table) >= size
+            or list(table) != [table[x ^ r] for x in range(size)]
+            or len(set(table)) != size >> 1
+        ):
+            self._raise_first_fault()
+
+    def _raise_first_fault(self) -> None:
+        """Walk the table in input order and raise for its first fault."""
         for x, out in enumerate(self.table):
             if not 0 <= out < (1 << self.n):
                 raise ValueError(f"output {out} is not an {self.n}-bit value")
@@ -107,6 +121,11 @@ class SimonInstance:
     def coset_representatives(self) -> tuple[int, ...]:
         """Minimum element of each {x, x xor r} coset, ascending."""
         return tuple(x for x in range(1 << self.n) if x < x ^ self.r)
+
+    def coset_representative(self, k: int) -> int:
+        """``coset_representatives()[k]``: k with a 0 bit inserted at r's top bit."""
+        low = (1 << (self.r.bit_length() - 1)) - 1
+        return (k & ~low) << 1 | (k & low)
 
     def r_bits(self) -> str:
         return format(self.r, f"0{self.n}b")
@@ -193,8 +212,7 @@ def simon_measure(inst: SimonInstance, seed: int) -> MeasurementOutcome:
     Draws one of the 2^(n-1) output values uniformly (splitmix64, rejection
     sampled) and returns it with the two-term state on {xbar, xbar xor r}.
     """
-    reps = inst.coset_representatives()
-    xbar = reps[SplitMix64(seed).below(len(reps))]
+    xbar = inst.coset_representative(SplitMix64(seed).below(1 << (inst.n - 1)))
     amps = [0] * (1 << inst.n)
     amps[xbar] = 1
     amps[xbar ^ inst.r] = 1

@@ -52,7 +52,21 @@ class SplitMix64:
                 return v
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates, iterating from the last index down."""
+        """In-place Fisher-Yates, iterating from the last index down.
+
+        Index j is ``below(i + 1)`` with the draw inlined: every bound fits in
+        64 bits, so each attempt takes the top i.bit_length() bits of one
+        word and is rejected while it exceeds i.
+        """
+        state = self._state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            shift = 64 - i.bit_length()
+            while True:
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                j = (z ^ (z >> 31)) >> shift
+                if j <= i:
+                    break
             items[i], items[j] = items[j], items[i]
+        self._state = state

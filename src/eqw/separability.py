@@ -8,10 +8,10 @@ no tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, compress
-from typing import Optional
+from itertools import chain, combinations, compress
+from typing import Iterable, Optional
 
 from .errors import ResourceCapError
 from .states import LinearForm, StateVector, tensor_all
@@ -24,12 +24,16 @@ LABEL_Q_SEPARABLE = "q-separable"
 LABEL_GME = "genuinely-multipartite-entangled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bipartition:
-    """A nonempty proper subset of the 1-based qubit indices of an n-qubit state."""
+    """A nonempty proper subset of the 1-based qubit indices of an n-qubit state.
+
+    ``rmask`` has the basis-index bit of every subset qubit set.
+    """
 
     n: int
     subset: tuple[int, ...]
+    rmask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         subset = tuple(sorted(self.subset))
@@ -42,6 +46,7 @@ class Bipartition:
             raise ValueError("subset contains repeated qubit indices")
         if subset[0] < 1 or subset[-1] > self.n:
             raise ValueError(f"qubit indices must lie in 1..{self.n}")
+        object.__setattr__(self, "rmask", sum(1 << (self.n - q) for q in subset))
 
     @property
     def complement(self) -> tuple[int, ...]:
@@ -80,7 +85,11 @@ def _content_reduced(vec: list[int]) -> list[int]:
 
 
 def try_factor(
-    s: StateVector, p: Bipartition
+    s: StateVector,
+    p: Bipartition,
+    *,
+    support: Optional[list[int]] = None,
+    hint: Optional[list[int]] = None,
 ) -> Optional[tuple[StateVector, StateVector]]:
     """Split s across the bipartition if its reshaped matrix has rank 1.
 
@@ -92,27 +101,35 @@ def try_factor(
     factors, the subset factor with its first nonzero entry positive, such
     that their tensor product equals s up to a positive rational scale.
     None means no split.
+
+    A caller that tries many cuts of one state passes its ascending
+    ``support`` (the indices of its nonzero amplitudes) and a one-element
+    ``hint`` list. The hinted index is tested first, and a refuting index
+    found by the walk is stored back into it. Any index that breaks the 2x2
+    minor refutes rank 1, so the hint changes only how soon a cut is
+    rejected, never the answer.
     """
     if s.m < 2:
         raise ValueError("need at least 2 qubits to bipartition")
     if p.n != s.m:
         raise ValueError(f"bipartition is for {p.n} qubits, state has {s.m}")
     a = s.amps
-    rmask = sum(1 << (s.m - q) for q in p.subset)
+    if support is None:
+        support = list(compress(range(len(a)), a))
+    rmask = p.rmask
     cmask = (len(a) - 1) ^ rmask
-    support = compress(range(len(a)), a)
-    x0 = next(support)
+    x0 = support[0]
     ref = a[x0]
     r0, c0 = x0 & rmask, x0 & cmask
-    size = 1
-    for x in support:
+    for x in chain(hint or (), support):
         if a[x] * ref != a[(x & rmask) | c0] * a[r0 | (x & cmask)]:
+            if hint is not None:
+                hint[0] = x
             return None
-        size += 1
     rows, cols = _index_maps(s.m, p.subset)
     u = [a[r | c0] for r in rows]
     v = [a[r0 | c] for c in cols]
-    if size != (len(u) - u.count(0)) * (len(v) - v.count(0)):
+    if len(support) != (len(u) - u.count(0)) * (len(v) - v.count(0)):
         return None
     u = _content_reduced(u)
     v = _content_reduced(v)
@@ -161,22 +178,44 @@ class Factorization:
         return StateVector(self.n, tuple(out))
 
 
+def _cut_list(m: int) -> Iterable[Bipartition]:
+    return (
+        Bipartition(m, local)
+        for t in range(1, m // 2 + 1)
+        for local in combinations(range(1, m + 1), t)
+    )
+
+
+@lru_cache(maxsize=None)
+def _cached_cuts(m: int) -> tuple[Bipartition, ...]:
+    return tuple(_cut_list(m))
+
+
+def _cuts(m: int) -> Iterable[Bipartition]:
+    """Every cut of m qubits with subset size 1..m//2, by size, then lexicographic.
+
+    Kept for m <= FACTOR_CAP only (2,509 cuts at m = 12); above the cap
+    there are too many to hold (616k at m = 20), so they are built as used.
+    """
+    return _cached_cuts(m) if m <= FACTOR_CAP else _cut_list(m)
+
+
 def _split_blocks(
     qubits: tuple[int, ...], s: StateVector
 ) -> list[tuple[tuple[int, ...], StateVector]]:
     m = len(qubits)
     if m == 1:
         return [(qubits, s)]
-    for t in range(1, m // 2 + 1):
-        for local in combinations(range(1, m + 1), t):
-            res = try_factor(s, Bipartition(m, local))
-            if res is None:
-                continue
-            factor, cofactor = res
-            inside = set(local)
-            fq = tuple(qubits[i - 1] for i in local)
-            cq = tuple(qubits[i - 1] for i in range(1, m + 1) if i not in inside)
-            return _split_blocks(fq, factor) + _split_blocks(cq, cofactor)
+    support = list(compress(range(1 << m), s.amps))
+    hint = [support[0]]
+    for p in _cuts(m):
+        res = try_factor(s, p, support=support, hint=hint)
+        if res is None:
+            continue
+        factor, cofactor = res
+        fq = tuple(qubits[i - 1] for i in p.subset)
+        cq = tuple(qubits[i - 1] for i in p.complement)
+        return _split_blocks(fq, factor) + _split_blocks(cq, cofactor)
     return [(qubits, s)]
 
 

@@ -410,7 +410,10 @@ def test_scans_too_long_to_index_are_refused_before_they_start(monkeypatch):
 
     monkeypatch.setattr(census.multiprocessing, "Pool", no_scan)
     monkeypatch.setattr(census, "_scan_placements", no_scan)
-    # C(128, 64) placements at n = 7 are more than islice can index
+    # C(64, 32) placements at n = 6 would take centuries; C(128, 64) at
+    # n = 7 are more than islice can index
+    with pytest.raises(ResourceCapError, match="placement scan capped"):
+        enumerate_dj(6, cap=6)
     with pytest.raises(ResourceCapError, match="placement scan capped"):
         enumerate_dj(7, cap=7)
     with pytest.raises(ResourceCapError, match="placement scan capped"):

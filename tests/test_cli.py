@@ -219,9 +219,10 @@ def test_census_caps_exit_3(runner):
     assert "factorization capped at 12 qubits (state has 13)" in res.output
     res = runner.invoke(main, ["census", "grover", "--n", "2", "--m", "5", "--exhaustive"])
     assert res.exit_code == 2  # M out of range is an input error
-    res = runner.invoke(main, ["census", "dj", "--n", "7", "--exhaustive", "--max-n", "7"])
-    assert res.exit_code == 3  # --max-n lifts the n cap; C(128, 64) placements stay refused
-    assert "placement scan capped" in res.output
+    for n in ("6", "7"):
+        res = runner.invoke(main, ["census", "dj", "--n", n, "--exhaustive", "--max-n", n])
+        assert res.exit_code == 3  # --max-n lifts the n cap; C(2^n, 2^(n-1)) placements stay refused
+        assert "placement scan capped" in res.output
 
 
 def test_census_grover_requires_m(runner):

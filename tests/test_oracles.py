@@ -90,8 +90,30 @@ def test_simon_instance_validation_catches_corruption():
     inst = make_simon_instance(3, "110", seed=1)
     bad = list(inst.table)
     bad[0] = (bad[0] + 1) % 8
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="breaks periodicity at input 0"):
         SimonInstance(inst.n, inst.r, tuple(bad))
+    # each fault is reported at its first input, whatever its kind
+    bad = list(inst.table)
+    bad[3] = bad[3 ^ inst.r] = 8
+    bad[5] = (bad[5] + 1) % 8
+    with pytest.raises(ValueError, match="output 8 is not an 3-bit value"):
+        SimonInstance(inst.n, inst.r, tuple(bad))
+    bad[1] = (bad[1] + 1) % 8
+    with pytest.raises(ValueError, match="breaks periodicity at input 1"):
+        SimonInstance(inst.n, inst.r, tuple(bad))
+    # periodic and in range, but input 1's coset reuses input 0's output
+    bad = list(inst.table)
+    bad[1] = bad[1 ^ inst.r] = bad[0]
+    with pytest.raises(ValueError, match=f"output {bad[0]} is shared beyond its period coset"):
+        SimonInstance(inst.n, inst.r, tuple(bad))
+
+
+def test_coset_representative_is_the_kth_ascending_representative():
+    for n in range(2, 7):
+        for r in range(1, 1 << n):
+            inst = make_simon_instance(n, r, seed=0)
+            reps = inst.coset_representatives()
+            assert tuple(inst.coset_representative(k) for k in range(len(reps))) == reps
 
 
 def test_simon_instance_json_roundtrip():

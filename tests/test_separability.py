@@ -9,7 +9,9 @@ from eqw.errors import ResourceCapError
 from eqw.oracles import simon_canonical_state
 from eqw.rng import SplitMix64
 from eqw.separability import (
+    FACTOR_CAP,
     Bipartition,
+    _cuts,
     classify,
     finest_factorization,
     full_separability_fast,
@@ -346,6 +348,68 @@ def test_try_factor_returns_primitive_factors_of_planted_products():
                 assert res is not None
                 assert res[0].amps == u
                 assert res[1].amps == (v if scale > 0 else tuple(-x for x in v))
+
+
+def test_try_factor_support_and_hint_never_change_the_answer():
+    rng = SplitMix64(909)
+    for n in range(2, 8):
+        size = 1 << n
+        states = []
+        for _ in range(4):
+            states.append([1 - 2 * rng.below(2) for _ in range(size)])
+            states.append(_random_entries(rng, size))
+            sparse = [0] * size
+            for _ in range(1 + rng.below(3)):
+                sparse[rng.below(size)] = rng.below(7) - 3 or 1
+            states.append(sparse)
+            k = 1 + rng.below(n - 1)
+            qubits = list(range(1, n + 1))
+            rng.shuffle(qubits)
+            u = _random_entries(rng, 1 << k)
+            v = _random_entries(rng, 1 << (n - k))
+            states.append(list(interleave_product(n, tuple(sorted(qubits[:k])), u, v)))
+        for amps in states:
+            s = StateVector(n, tuple(amps))
+            support = [x for x in range(size) if amps[x]]
+            running = [support[0]]  # carried across cuts, as the sweep does
+            for k in range(1, n):
+                for subset in combinations(range(1, n + 1), k):
+                    p = Bipartition(n, subset)
+                    expected = try_factor(s, p)
+                    assert try_factor(s, p, support=support) == expected
+                    assert try_factor(s, p, support=support, hint=running) == expected
+                    # wrong hints: zero entries, the last index, any index at all
+                    for x in (support[-1], size - 1, rng.below(size)):
+                        hint = [x]
+                        assert try_factor(s, p, support=support, hint=hint) == expected
+                        if expected is not None:
+                            assert hint == [x]
+
+
+def test_cuts_run_by_size_then_lexicographically_and_are_kept_only_up_to_the_cap():
+    for m in range(2, 9):
+        expected = [c for t in range(1, m // 2 + 1) for c in combinations(range(1, m + 1), t)]
+        assert [p.subset for p in _cuts(m)] == expected
+        assert all(p.rmask == sum(1 << (m - q) for q in p.subset) for p in _cuts(m))
+    assert _cuts(FACTOR_CAP) is _cuts(FACTOR_CAP)
+    # 8,191 cuts at 13 qubits and 616k at 20 are built as they are used
+    assert _cuts(FACTOR_CAP + 1) is not _cuts(FACTOR_CAP + 1)
+
+
+def test_classify_matches_the_anf_on_few_solution_grover_states():
+    # a product state except at a few late entries makes the support walk
+    # run to its end on nearly every cut: the sweep's worst case
+    rng = SplitMix64(912)
+    marked_sets = [{4095}, {0}, {2048}]
+    for m in (2, 4):
+        marked = set()
+        while len(marked) < m:
+            marked.add(rng.below(4096))
+        marked_sets.append(marked)
+    for marked in marked_sets:
+        amps = tuple(-1 if x in marked else 1 for x in range(4096))
+        table = sum(1 << x for x in marked)
+        assert classify(StateVector(12, amps)).block_sizes == sign_block_sizes(12, table)
 
 
 def test_try_factor_requires_a_rectangular_support():
