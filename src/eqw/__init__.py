@@ -34,7 +34,6 @@ from .separability import (
     classify,
     finest_factorization,
     full_separability_fast,
-    lemma_check,
     schmidt_rank,
     try_factor,
     wht,
@@ -60,5 +59,6 @@ from .census import (
     enumerate_simon,
     grover_bisep_fraction_log2,
 )
+from .verify import lemma_check
 
 __version__ = "0.1.0"

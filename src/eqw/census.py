@@ -301,32 +301,28 @@ class CensusReport:
 def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
     shards = max(1, shards)
     step, extra = divmod(total, shards)
-    bounds = []
-    lo = 0
-    for i in range(shards):
-        hi = lo + step + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    cuts = [i * step + min(i, extra) for i in range(shards + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def placements(n: int, m: int, lo: int = 0, hi: Optional[int] = None):
-    """Minus positions of every placement of m minus signs among the 2^n
-    amplitudes with combination rank in [lo, hi), in rank order."""
-    return islice(combinations(range(1 << n), m), lo, hi)
+    """Packed truth tables, bit x set at each minus sign, of every placement
+    of m minus signs among the 2^n amplitudes with combination rank in
+    [lo, hi), in rank order."""
+    return (
+        sum(1 << x for x in minus)
+        for minus in islice(combinations(range(1 << n), m), lo, hi)
+    )
 
 
 def _scan_placements(args: tuple[int, int, int, int]) -> Counter:
     """Histogram of finest block sizes over one rank shard of placements.
 
-    Each placement goes to the ANF kernel ``sign_block_sizes`` as a packed
-    truth table; no state is built and no rank-1 test runs.
+    Each placement's table goes to the ANF kernel ``sign_block_sizes``; no
+    state is built and no rank-1 test runs.
     """
     n, m, lo, hi = args
-    return Counter(
-        sign_block_sizes(n, sum(1 << x for x in minus))
-        for minus in placements(n, m, lo, hi)
-    )
+    return Counter(sign_block_sizes(n, table) for table in placements(n, m, lo, hi))
 
 
 def _placement_histogram(n: int, m: int, workers: int) -> Counter:

@@ -38,10 +38,10 @@ from .oracles import (
 from .rng import SplitMix64
 from .separability import FACTOR_CAP, SeparabilityReport, classify
 from .states import (
-    BooleanFunction,
     LinearForm,
     StateVector,
     bv_function,
+    make_function,
     parse_function,
     state_from_function,
 )
@@ -215,7 +215,7 @@ def _grover_function(n: int, m: int | None, solutions: str | None, seed: int):
     table = [0] * size
     for x in marked:
         table[x] = 1
-    return BooleanFunction(n, tuple(table)), marked
+    return make_function(n, table), marked
 
 
 @main.command("simulate")
@@ -384,22 +384,22 @@ def verify_cmd(suite, n_range, workers, fmt):
 def asymptotics_cmd(max_n, fmt):
     """Per-n log2 fractions: exact, Stirling form, and the vanishing bounds."""
     cap = max(census_mod.FRACTION_CAP, _env_cap())
+    header = ["n", "sep_exact_log2", "sep_stirling_log2", "bisep_bound_log2",
+              "grover_m2_log2", "grover_m4_log2"]
     rows = []
     for n in range(2, max_n + 1):
         fr = dj_fractions(n, cap=cap)
-        row = {
-            "n": n,
-            "sep_exact_log2": fr.sep_exact.log2_ratio,
-            "sep_stirling_log2": fr.sep_asymptotic.log2_ratio,
-            "bisep_bound_log2": fr.bisep_bound.log2_ratio,
-            "grover_m2_log2": grover_bisep_fraction_log2(n, 2),
-            "grover_m4_log2": grover_bisep_fraction_log2(n, 4) if (1 << n) > 4 else None,
-        }
-        rows.append(row)
+        rows.append(dict(zip(header, (
+            n,
+            fr.sep_exact.log2_ratio,
+            fr.sep_asymptotic.log2_ratio,
+            fr.bisep_bound.log2_ratio,
+            grover_bisep_fraction_log2(n, 2),
+            grover_bisep_fraction_log2(n, 4) if (1 << n) > 4 else None,
+        ))))
     if fmt == "json":
         _emit_json({"rows": rows})
         return
-    header = list(rows[0].keys())
     cells = [
         ["" if row[k] is None else (str(row[k]) if k == "n" else f"{row[k]:.6f}")
          for k in header]

@@ -54,22 +54,22 @@ def dj_oracle_pipeline(f: BooleanFunction) -> tuple[StateVector, StateVector]:
 
     Register starts in |0...0>, target in the unnormalized (+1, -1) pair;
     Hadamards act on the register only, then the oracle maps |x>|y> to
-    |x>|f(x) xor y>. The target factor is verified unchanged before the
-    register is returned.
+    |x>|f(x) xor y>, swapping the two target amplitudes of each x with
+    f(x) = 1. The target factor is verified unchanged before the register
+    is returned.
     """
     n = f.n
     m = n + 1
     amps = [0] * (1 << m)
     amps[0], amps[1] = 1, -1
     _hadamard_all(amps, m, range(1, n + 1))
-    table = f.table
-    out = [0] * len(amps)
-    for x in range(1 << n):
-        flip = table[x]
+    bits = f.bits()
+    x = bits.find("1")
+    while x >= 0:
         base = x << 1
-        out[base] = amps[base + flip]
-        out[base + 1] = amps[base + (1 - flip)]
-    return _split_register_target(StateVector(m, tuple(out)))
+        amps[base], amps[base + 1] = amps[base + 1], amps[base]
+        x = bits.find("1", x + 1)
+    return _split_register_target(StateVector(m, tuple(amps)))
 
 
 def prepare_dj_state(f: BooleanFunction) -> StateVector:
@@ -139,9 +139,17 @@ class SimonInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimonInstance":
-        n = int(data["n"])
-        r = int(str(data["r"]), 2)
-        table = tuple(int(str(v), 2) for v in data["table"])
+        """Inverse of to_dict; a malformed instance raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("instance must be a JSON object with fields n, r and table")
+        try:
+            n = int(data["n"])
+            r = int(str(data["r"]), 2)
+            table = tuple(int(str(v), 2) for v in data["table"])
+        except KeyError as exc:
+            raise ValueError(f"instance has no field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed instance: {exc}") from None
         return cls(n, r, table)
 
 

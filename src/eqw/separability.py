@@ -14,7 +14,7 @@ from itertools import chain, combinations, compress
 from typing import Iterable, Optional
 
 from .errors import ResourceCapError
-from .states import LinearForm, StateVector, tensor_all
+from .states import LinearForm, StateVector, bv_function
 
 FACTOR_CAP = 12
 
@@ -279,12 +279,11 @@ def classify(s: StateVector, cap: int = FACTOR_CAP) -> SeparabilityReport:
 def _anf_masks(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
     """Masks over a packed n-variable table, bit y standing for index y.
 
-    Returns one Möbius step (shift 2^b, mask of the indices with bit b set)
-    per variable bit b, and (b, c, mask of the monomials holding both bits)
-    per pair of variable bits.
+    Returns one Möbius step (shift 2^b, mask of the indices with bit b set,
+    which is the truth table of index bit b) per variable bit b, and
+    (b, c, mask of the monomials holding both bits) per pair of variable bits.
     """
-    size = 1 << n
-    holds = [sum(1 << y for y in range(size) if y >> b & 1) for b in range(n)]
+    holds = [bv_function(LinearForm.from_value(n, 1 << b)).table for b in range(n)]
     steps = tuple((1 << b, holds[b]) for b in range(n))
     pairs = tuple((b, c, holds[b] & holds[c]) for b, c in combinations(range(n), 2))
     return steps, pairs
@@ -359,22 +358,6 @@ def full_separability_fast(s: StateVector) -> Optional[tuple[LinearForm, int]]:
     if abs(value) != len(s.amps):
         raise ArithmeticError(f"lone spectral coefficient {value} is not +-{len(s.amps)}")
     return LinearForm.from_value(s.m, hit), (1 if value > 0 else -1)
-
-
-def lemma_check(factors: list[StateVector]) -> tuple[bool, bool]:
-    """Compare balancedness of a tensor product with that of its factors.
-
-    Returns (product is balanced, at least one factor is balanced); the two
-    are equal for sign-vector factors.
-    """
-    if len(factors) < 2:
-        raise ValueError("need at least two factors")
-    if not all(f.is_sign_vector() for f in factors):
-        raise ValueError("factors must have +-1 amplitudes")
-    product = tensor_all(factors)
-    product_balanced = product.plus_count() == product.minus_count()
-    any_factor_balanced = any(f.plus_count() == f.minus_count() for f in factors)
-    return product_balanced, any_factor_balanced
 
 
 def schmidt_rank(s: StateVector, p: Bipartition) -> int:

@@ -6,11 +6,18 @@ amps[x] / sqrt(sum of squares). Basis indices follow one convention
 everywhere: x = sum_i x_i * 2^(n-i), so qubit 1 is the most significant
 bit and the tensor product puts the left operand's qubits in the most
 significant positions.
+
+A Boolean function's truth table is one int with bit x = f(x), the value
+of its hex encoding (0110 is 0x6); only this module packs or unpacks it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_SIGNS = {"0": 1, "1": -1}
 
 
 def _require_qubit_count(n: int) -> None:
@@ -20,26 +27,23 @@ def _require_qubit_count(n: int) -> None:
 
 @dataclass(frozen=True)
 class BooleanFunction:
-    """Truth table of f: {0,1}^n -> {0,1} as a tuple of 2^n bits, table[x] = f(x)."""
+    """Truth table of f: {0,1}^n -> {0,1} packed into one int, bit x = f(x)."""
 
     n: int
-    table: tuple[int, ...]
+    table: int
 
     def __post_init__(self):
         _require_qubit_count(self.n)
-        if len(self.table) != 1 << self.n:
-            raise ValueError(
-                f"truth table has {len(self.table)} entries, expected 2^{self.n} = {1 << self.n}"
-            )
-        if any(b not in (0, 1) for b in self.table):
-            raise ValueError("truth table entries must be 0 or 1")
+        size = 1 << self.n
+        if not isinstance(self.table, int) or self.table < 0 or self.table.bit_length() > size:
+            raise ValueError(f"truth table must be an int of at most 2^{self.n} = {size} bits")
 
     def bits(self) -> str:
         """Text encoding, index ascending (x = 0 first)."""
-        return "".join(str(b) for b in self.table)
+        return format(self.table, f"0{1 << self.n}b")[::-1]
 
     def __call__(self, x: int) -> int:
-        return self.table[x]
+        return self.table >> x & 1
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,7 @@ class LinearForm:
     @property
     def value(self) -> int:
         """Integer encoding under the shared bit convention (bit 1 most significant)."""
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
+        return int("".join(map(str, self.bits)), 2)
 
     @classmethod
     def from_value(cls, n: int, value: int) -> "LinearForm":
@@ -115,47 +116,52 @@ class LinearForm:
 
 
 def make_function(n: int, table: Sequence[int] | str) -> BooleanFunction:
-    """Build a BooleanFunction from a bit sequence of length 2^n."""
-    if isinstance(table, str):
-        if not set(table) <= {"0", "1"}:
-            raise ValueError(f"truth table string must be over {{0,1}}, got {table!r}")
-        bits = tuple(int(c) for c in table)
-    else:
-        bits = tuple(int(b) for b in table)
-    return BooleanFunction(n, bits)
+    """Pack a {0,1} string or bit sequence of length 2^n, index ascending."""
+    if isinstance(table, str) and not set(table) <= {"0", "1"}:
+        raise ValueError(f"truth table string must be over {{0,1}}, got {table!r}")
+    _require_qubit_count(n)
+    if len(table) != 1 << n:
+        raise ValueError(f"truth table has {len(table)} entries, expected 2^{n} = {1 << n}")
+    if not isinstance(table, str):
+        if not set(table) <= {0, 1}:
+            raise ValueError("truth table entries must be 0 or 1")
+        table = bytes(table).translate(_ASCII_BITS)
+    return BooleanFunction(n, int(table[::-1], 2))
 
 
 def parse_function(n: int, text: str) -> BooleanFunction:
     """Parse the two accepted text encodings of a truth table.
 
     Binary form: a {0,1} string of length 2^n, index ascending. Hex form
-    "0x...": bit of input x sits at position x counted from the least
-    significant bit of the hex value.
+    "0x...": the packed table, bit of input x at position x counted from
+    the least significant bit of the hex value.
     """
     _require_qubit_count(n)
-    size = 1 << n
     if text.lower().startswith("0x"):
         try:
             value = int(text, 16)
         except ValueError:
             raise ValueError(f"malformed hex truth table {text!r}") from None
-        if value >= (1 << size):
+        if value >= (1 << (1 << n)):
             raise ValueError(f"hex truth table {text!r} does not fit 2^{n} bits")
-        return BooleanFunction(n, tuple((value >> x) & 1 for x in range(size)))
+        return BooleanFunction(n, value)
     return make_function(n, text)
 
 
 def bv_function(a: LinearForm) -> BooleanFunction:
-    """Truth table of the parity function f(x) = a1 x1 xor ... xor an xn."""
-    av = a.value
-    return BooleanFunction(
-        a.n, tuple((av & x).bit_count() & 1 for x in range(1 << a.n))
-    )
+    """Truth table of the parity function f(x) = a1 x1 xor ... xor an xn, built
+    by doubling: index bit b appends the table, complemented if a holds bit b."""
+    av, table = a.value, 0
+    for b in range(a.n):
+        width = 1 << b
+        high = table ^ ((1 << width) - 1) if av >> b & 1 else table
+        table |= high << width
+    return BooleanFunction(a.n, table)
 
 
 def state_from_function(f: BooleanFunction) -> StateVector:
     """Sign vector with amps[x] = (-1)^f(x)."""
-    return StateVector(f.n, tuple(1 - 2 * b for b in f.table))
+    return StateVector(f.n, tuple(map(_SIGNS.__getitem__, f.bits())))
 
 
 def uniform_state(n: int) -> StateVector:
@@ -166,7 +172,7 @@ def uniform_state(n: int) -> StateVector:
 
 def weight(f: BooleanFunction) -> int:
     """Number of inputs mapped to 1."""
-    return sum(f.table)
+    return f.table.bit_count()
 
 
 def is_balanced(f: BooleanFunction) -> bool:
@@ -176,7 +182,7 @@ def is_balanced(f: BooleanFunction) -> bool:
 
 def complement(f: BooleanFunction) -> BooleanFunction:
     """Pointwise negation; its state is the original state with a global -1."""
-    return BooleanFunction(f.n, tuple(1 - b for b in f.table))
+    return BooleanFunction(f.n, f.table ^ ((1 << (1 << f.n)) - 1))
 
 
 def apply_local_x(s: StateVector, qubit: int) -> StateVector:

@@ -10,7 +10,8 @@ fails a check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import combinations, product
 from math import prod
 from typing import Callable, Iterable, Sequence
 
@@ -34,12 +35,11 @@ from .separability import (
     Bipartition,
     classify,
     full_separability_fast,
-    lemma_check,
     schmidt_rank,
     sign_block_sizes,
     wht,
 )
-from .states import BooleanFunction, StateVector, state_from_function
+from .states import BooleanFunction, StateVector, state_from_function, tensor_all
 
 SAMPLE_BUDGET = 10_000
 _SAMPLE_SEED = 0x5EED
@@ -67,14 +67,6 @@ def _check(suite: str, name: str, candidates: Iterable, is_bad: Callable[..., bo
     return Check(suite, name, STATUS_PASS, pass_detail)
 
 
-def _sign_state(n: int, fi: int) -> StateVector:
-    return StateVector(n, tuple(1 - 2 * ((fi >> x) & 1) for x in range(1 << n)))
-
-
-def _function(n: int, fi: int) -> BooleanFunction:
-    return BooleanFunction(n, tuple((fi >> x) & 1 for x in range(1 << n)))
-
-
 def function_sample(n: int, per_n: int, rng: SplitMix64, noun: str) -> tuple[Sequence[int], str]:
     """Every function int at n <= 3, else per_n draws from rng; with the
     mode text that a passing check reports."""
@@ -89,40 +81,48 @@ def _per_n(ns: list[int]) -> int:
 
 
 def _compositions(n: int) -> list[tuple[int, ...]]:
-    """All ordered splits of n into at least two positive parts."""
-    if n < 2:
-        return []
-    out = []
-
-    def rec(rest: int, acc: tuple[int, ...]):
-        if rest == 0:
-            if len(acc) >= 2:
-                out.append(acc)
-            return
-        for part in range(1, rest + 1):
-            rec(rest - part, acc + (part,))
-
-    rec(n, ())
-    return out
+    """All ordered splits of n into at least two positive parts, ascending."""
+    return sorted(
+        tuple(hi - lo for lo, hi in zip((0, *cuts), (*cuts, n)))
+        for k in range(1, n)
+        for cuts in combinations(range(1, n), k)
+    )
 
 
 def check_spectral(n: int, fis: Iterable[int], mode: str) -> Check:
     """The WHT full-separability test agrees with the engine on each table."""
 
-    def disagree(fi: int) -> bool:
-        s = _sign_state(n, fi)
+    def disagree(f: BooleanFunction) -> bool:
+        s = state_from_function(f)
         return (full_separability_fast(s) is not None) != (classify(s).q == n)
 
-    return _check("wht", f"spectral-vs-engine n={n}", fis, disagree,
-                  lambda fi: f"disagreement at truth table {_function(n, fi).bits()}", mode)
+    return _check("wht", f"spectral-vs-engine n={n}", map(partial(BooleanFunction, n), fis),
+                  disagree, lambda f: f"disagreement at truth table {f.bits()}", mode)
 
 
 def check_parseval(n: int) -> Check:
     """Every sign vector's squared WHT coefficients sum to 2^(2n)."""
-    return _check("wht", f"parseval n={n}", range(1 << (1 << n)),
-                  lambda fi: sum(c * c for c in wht(_sign_state(n, fi))) != 1 << (2 * n),
-                  lambda fi: f"sum of squares wrong at truth table {_function(n, fi).bits()}",
+    fs = map(partial(BooleanFunction, n), range(1 << (1 << n)))
+    return _check("wht", f"parseval n={n}", fs,
+                  lambda f: sum(c * c for c in wht(state_from_function(f))) != 1 << (2 * n),
+                  lambda f: f"sum of squares wrong at truth table {f.bits()}",
                   f"sum of squared coefficients = 2^{2 * n} on all sign vectors")
+
+
+def lemma_check(factors: list[StateVector]) -> tuple[bool, bool]:
+    """Compare balancedness of a tensor product with that of its factors.
+
+    Returns (product is balanced, at least one factor is balanced); the two
+    are equal for sign-vector factors.
+    """
+    if len(factors) < 2:
+        raise ValueError("need at least two factors")
+    if not all(f.is_sign_vector() for f in factors):
+        raise ValueError("factors must have +-1 amplitudes")
+    product = tensor_all(factors)
+    product_balanced = product.plus_count() == product.minus_count()
+    any_factor_balanced = any(f.plus_count() == f.minus_count() for f in factors)
+    return product_balanced, any_factor_balanced
 
 
 def check_lemma_product(n: int) -> Check:
@@ -137,7 +137,8 @@ def check_lemma_product(n: int) -> Check:
 
     def disagree(c) -> bool:
         parts, signs = c
-        prod_bal, any_bal = lemma_check([_sign_state(k, fi) for k, fi in zip(parts, signs)])
+        factors = [state_from_function(BooleanFunction(k, fi)) for k, fi in zip(parts, signs)]
+        prod_bal, any_bal = lemma_check(factors)
         return prod_bal != any_bal
 
     return _check("lemma", f"product-direction n={n}", tuples, disagree,
@@ -155,27 +156,26 @@ def check_lemma_decomposition(n: int) -> Check:
     def no_balanced_block(table: int) -> bool:
         if len(sign_block_sizes(n, table)) < 2:
             return False
-        rep = classify(_sign_state(n, table))
+        rep = classify(state_from_function(BooleanFunction(n, table)))
         return rep.q >= 2 and not any(
             f.plus_count() == f.minus_count() for _, f in rep.factorization.blocks
         )
 
-    tables = (sum(1 << x for x in minus) for minus in placements(n, 1 << (n - 1)))
-    return _check("lemma", f"decomposition-direction n={n}", tables, no_balanced_block,
-                  lambda t: f"no balanced block for balanced table {_function(n, t).bits()}",
+    return _check("lemma", f"decomposition-direction n={n}", placements(n, 1 << (n - 1)),
+                  no_balanced_block,
+                  lambda t: f"no balanced block for balanced table {BooleanFunction(n, t).bits()}",
                   "every splittable balanced sign vector has a balanced block")
 
 
 def check_pipeline(n: int, fis: Iterable[int], mode: str) -> Check:
     """The DJ oracle pipeline equals direct construction, ancilla (+1, -1)."""
 
-    def deviates(fi: int) -> bool:
-        f = _function(n, fi)
+    def deviates(f: BooleanFunction) -> bool:
         register, target = dj_oracle_pipeline(f)
         return register.amps != state_from_function(f).amps or target.amps != (1, -1)
 
-    return _check("dj", f"pipeline-equivalence n={n}", fis, deviates,
-                  lambda fi: f"pipeline deviates at truth table {_function(n, fi).bits()}", mode)
+    return _check("dj", f"pipeline-equivalence n={n}", map(partial(BooleanFunction, n), fis),
+                  deviates, lambda f: f"pipeline deviates at truth table {f.bits()}", mode)
 
 
 def _simon_class_problem(n: int, r: int) -> str | None:
@@ -333,12 +333,8 @@ SUITES = {
 
 
 def run_verify(suite: str, ns: list[int], workers: int = 1) -> list[Check]:
-    names = list(SUITES) if suite == "all" else [suite]
     checks: list[Check] = []
-    for name in names:
-        fn = SUITES[name]
-        if name in ("dj", "grover"):
-            checks.extend(fn(ns, workers=workers))
-        else:
-            checks.extend(fn(ns))
+    for name in list(SUITES) if suite == "all" else [suite]:
+        pool = {"workers": workers} if name in ("dj", "grover") else {}
+        checks += SUITES[name](ns, **pool)
     return checks

@@ -4,30 +4,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from eqw.states import BooleanFunction, StateVector
-
-
-def function_from_int(n: int, fi: int) -> BooleanFunction:
-    """Truth table with bit x of fi giving f(x)."""
-    return BooleanFunction(n, tuple((fi >> x) & 1 for x in range(1 << n)))
-
-
-def sign_state_from_int(n: int, fi: int) -> StateVector:
-    return StateVector(n, tuple(1 - 2 * ((fi >> x) & 1) for x in range(1 << n)))
+from eqw.states import BooleanFunction, StateVector, state_from_function
 
 
 def all_sign_states(n: int):
     for fi in range(1 << (1 << n)):
-        yield fi, sign_state_from_int(n, fi)
+        yield fi, state_from_function(BooleanFunction(n, fi))
 
 
 def balanced_sign_states(n: int):
-    size = 1 << n
-    for minus in combinations(range(size), size // 2):
-        amps = [1] * size
-        for x in minus:
-            amps[x] = -1
-        yield StateVector(n, tuple(amps))
+    for minus in combinations(range(1 << n), 1 << (n - 1)):
+        yield StateVector(n, tuple(-1 if x in minus else 1 for x in range(1 << n)))
 
 
 def canonical_amps(amps: tuple[int, ...]) -> tuple[int, ...]:

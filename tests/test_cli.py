@@ -151,6 +151,19 @@ def test_simulate_simon_instance_roundtrip(runner, tmp_path):
     assert first["observed"] == second["observed"]
 
 
+@pytest.mark.parametrize(
+    "content, field",
+    [('{"n": 3}', "'r'"), ('{"r": "11", "table": []}', "'n'"), ("[1, 2]", "object"),
+     ('{"n": 3, "r": "110", "table": 5}', "malformed")],
+)
+def test_simulate_simon_rejects_a_malformed_instance_file(runner, tmp_path, content, field):
+    path = tmp_path / "inst.json"
+    path.write_text(content)
+    res = runner.invoke(main, ["simulate", "simon", "--n", "3", "--instance", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and field in res.stderr
+
+
 def test_simulate_grover_seeded_and_explicit(runner):
     a = invoke(runner, "simulate", "grover", "--n", "3", "--m", "2", "--seed", "5")
     b = invoke(runner, "simulate", "grover", "--n", "3", "--m", "2", "--seed", "5")
@@ -275,6 +288,18 @@ def test_asymptotics_csv_roundtrip(runner):
     rows = list(csv.reader(io.StringIO(res.output)))
     assert rows[0][0] == "n"
     assert len(rows) == 1 + 5  # n = 2..6
+
+
+@pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+def test_asymptotics_without_rows_prints_only_the_header(runner, max_n):
+    header = "n,sep_exact_log2,sep_stirling_log2,bisep_bound_log2,grover_m2_log2,grover_m4_log2"
+    out = {fmt: invoke(runner, "asymptotics", "--max-n", max_n, "--format", fmt)
+           for fmt in ("json", "csv", "table")}
+    assert [res.exit_code for res in out.values()] == [0, 0, 0]
+    assert json.loads(out["json"].output) == {"rows": []}
+    assert out["csv"].output == header + "\n"
+    names, dashes = out["table"].output.splitlines()
+    assert names.split() == header.split(",") and set(dashes) == {"-", " "}
 
 
 def test_in_process_commands_free_their_output_streams(runner):

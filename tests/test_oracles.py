@@ -17,9 +17,10 @@ from eqw.oracles import (
 )
 from eqw.rng import SplitMix64
 from eqw.separability import Bipartition, classify, schmidt_rank
-from eqw.states import StateVector, apply_local_x, make_function, state_from_function
+from eqw.states import (BooleanFunction, StateVector, apply_local_x, make_function,
+                        state_from_function)
 
-from conftest import fraction_rank, function_from_int
+from conftest import fraction_rank
 
 
 def test_pipeline_single_qubit_kickback():
@@ -35,7 +36,7 @@ def test_pipeline_sampled_large_n():
     rng = SplitMix64(7)
     for n in range(4, 9):
         for _ in range(200):
-            f = function_from_int(n, rng.below(1 << (1 << n)))
+            f = BooleanFunction(n, rng.below(1 << (1 << n)))
             register, target = dj_oracle_pipeline(f)
             assert register.amps == state_from_function(f).amps
             assert target.amps == (1, -1)

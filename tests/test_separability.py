@@ -15,13 +15,13 @@ from eqw.separability import (
     classify,
     finest_factorization,
     full_separability_fast,
-    lemma_check,
     schmidt_rank,
     sign_block_sizes,
     try_factor,
     wht,
 )
 from eqw.states import (
+    BooleanFunction,
     LinearForm,
     StateVector,
     apply_local_x,
@@ -37,7 +37,6 @@ from conftest import (
     fraction_rank,
     interleave_product,
     naive_wht,
-    sign_state_from_int,
 )
 
 
@@ -143,7 +142,7 @@ def test_reassembly_invariant():
     rng = SplitMix64(55)
     for n in range(2, 7):
         for _ in range(40):
-            s = sign_state_from_int(n, rng.below(1 << (1 << n)))
+            s = state_from_function(BooleanFunction(n, rng.below(1 << (1 << n))))
             fac = finest_factorization(s)
             re = fac.reassemble()
             # equality up to positive scale; sign vectors reassemble exactly
@@ -203,33 +202,15 @@ def test_fast_path_equals_engine_sampled():
     per_n = 3334
     for n in (4, 5, 6):
         for _ in range(per_n):
-            s = sign_state_from_int(n, rng.below(1 << (1 << n)))
+            s = state_from_function(BooleanFunction(n, rng.below(1 << (1 << n))))
             assert (full_separability_fast(s) is not None) == (classify(s).q == n)
-
-
-def test_lemma_check_examples():
-    assert lemma_check([StateVector(1, (1, -1)), StateVector(1, (1, 1))]) == (True, True)
-    assert lemma_check([StateVector(1, (1, 1)), StateVector(1, (1, 1))]) == (False, False)
-    with pytest.raises(ValueError):
-        lemma_check([StateVector(1, (1, 1))])
-    with pytest.raises(ValueError):
-        lemma_check([StateVector(1, (1, 0)), StateVector(1, (1, 1))])
-
-
-def test_lemma_agreement_all_pairs_1x2():
-    for ua in range(4):
-        u = sign_state_from_int(1, ua)
-        for vb in range(16):
-            v = sign_state_from_int(2, vb)
-            prod_bal, any_bal = lemma_check([u, v])
-            assert prod_bal == any_bal
 
 
 def test_local_x_invariance_of_class():
     rng = SplitMix64(123)
     for n in range(2, 7):
         for _ in range(25):
-            s = sign_state_from_int(n, rng.below(1 << (1 << n)))
+            s = state_from_function(BooleanFunction(n, rng.below(1 << (1 << n))))
             rep = classify(s)
             for q in range(1, n + 1):
                 other = classify(apply_local_x(s, q))
@@ -436,7 +417,7 @@ def test_schmidt_rank_known_values():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=(1 << 16) - 1))
 def test_factor_iff_schmidt_rank_one(fi):
-    s = sign_state_from_int(4, fi)
+    s = state_from_function(BooleanFunction(4, fi))
     for subset in [(1,), (2,), (1, 2), (1, 3)]:
         p = Bipartition(4, subset)
         assert (try_factor(s, p) is not None) == (schmidt_rank(s, p) == 1)
@@ -471,7 +452,8 @@ def test_sign_block_sizes_equal_the_sweep_on_random_and_planted_states():
     for n in range(5, 10):
         for _ in range(100):
             fi = rng.bits(1 << n)
-            for amps in (sign_state_from_int(n, fi).amps, _planted_signs(rng, n)):
+            signs = state_from_function(BooleanFunction(n, fi)).amps
+            for amps in (signs, _planted_signs(rng, n)):
                 packed = sum(1 << x for x, a in enumerate(amps) if a < 0)
                 want = finest_factorization(StateVector(n, amps)).block_sizes()
                 if sign_block_sizes(n, packed) != want:

@@ -22,12 +22,10 @@ from eqw.states import (
     weight,
 )
 
-from conftest import function_from_int
-
 
 def test_make_function_basic():
-    assert make_function(2, "0000").table == (0, 0, 0, 0)
-    assert make_function(2, "0110").table == (0, 1, 1, 0)
+    assert make_function(2, "0000").table == 0b0000
+    assert make_function(2, "0110").table == 0b0110
     assert make_function(2, [0, 1, 1, 0]) == make_function(2, "0110")
 
 
@@ -39,7 +37,9 @@ def test_make_function_rejects_bad_input():
     with pytest.raises(ValueError):
         make_function(2, "01a0")
     with pytest.raises(ValueError):
-        BooleanFunction(2, (0, 1, 2, 0))
+        make_function(2, (0, 1, 2, 0))
+    with pytest.raises(ValueError):
+        BooleanFunction(2, 16)
 
 
 def test_parse_function_hex():
@@ -94,21 +94,18 @@ def test_weight_and_balance():
 def test_complement():
     assert complement(make_function(2, "0011")).bits() == "1100"
     for fi in range(256):
-        f = function_from_int(3, fi)
+        f = BooleanFunction(3, fi)
         assert complement(complement(f)) == f
     for fi in range(1 << 16):
-        f = function_from_int(4, fi)
+        f = BooleanFunction(4, fi)
         assert is_balanced(complement(f)) == is_balanced(f)
 
 
 def test_complement_negates_state_exhaustive_small():
     for n in (1, 2, 3):
         for fi in range(1 << (1 << n)):
-            f = function_from_int(n, fi)
-            assert (
-                state_from_function(complement(f)).amps
-                == state_from_function(f).negate().amps
-            )
+            f = BooleanFunction(n, fi)
+            assert state_from_function(complement(f)).amps == state_from_function(f).negate().amps
 
 
 def test_complement_negates_state_sampled_large():
@@ -117,17 +114,14 @@ def test_complement_negates_state_sampled_large():
     for n in range(4, 9):
         size = 1 << n
         for _ in range(per_n):
-            f = function_from_int(n, rng.below(1 << size))
-            assert (
-                state_from_function(complement(f)).amps
-                == state_from_function(f).negate().amps
-            )
+            f = BooleanFunction(n, rng.below(1 << size))
+            assert state_from_function(complement(f)).amps == state_from_function(f).negate().amps
 
 
 def test_plus_minus_counts_track_weight():
     for n in (1, 2, 3):
         for fi in range(1 << (1 << n)):
-            f = function_from_int(n, fi)
+            f = BooleanFunction(n, fi)
             s = state_from_function(f)
             assert s.plus_count() == (1 << n) - weight(f)
             assert s.minus_count() == weight(f)
@@ -136,7 +130,7 @@ def test_plus_minus_counts_track_weight():
 def test_balanced_iff_equal_sign_counts():
     for n in (1, 2, 3, 4):
         for fi in range(1 << (1 << n)):
-            f = function_from_int(n, fi)
+            f = BooleanFunction(n, fi)
             s = state_from_function(f)
             assert is_balanced(f) == (s.plus_count() == s.minus_count())
 

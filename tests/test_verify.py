@@ -1,5 +1,8 @@
+import pytest
+
 from eqw import verify
 from eqw.separability import wht
+from eqw.states import BooleanFunction, StateVector, state_from_function
 
 
 def test_parseval_scans_every_table_after_a_spectral_failure(monkeypatch):
@@ -16,3 +19,21 @@ def test_parseval_scans_every_table_after_a_spectral_failure(monkeypatch):
     assert parseval.name == "parseval n=2"
     assert parseval.status == verify.STATUS_FAIL
     assert parseval.detail == "sum of squares wrong at truth table 1111"
+
+
+def test_lemma_check_examples():
+    assert verify.lemma_check([StateVector(1, (1, -1)), StateVector(1, (1, 1))]) == (True, True)
+    assert verify.lemma_check([StateVector(1, (1, 1)), StateVector(1, (1, 1))]) == (False, False)
+    with pytest.raises(ValueError):
+        verify.lemma_check([StateVector(1, (1, 1))])
+    with pytest.raises(ValueError):
+        verify.lemma_check([StateVector(1, (1, 0)), StateVector(1, (1, 1))])
+
+
+def test_lemma_agreement_all_pairs_1x2():
+    for ua in range(4):
+        u = state_from_function(BooleanFunction(1, ua))
+        for vb in range(16):
+            v = state_from_function(BooleanFunction(2, vb))
+            prod_bal, any_bal = verify.lemma_check([u, v])
+            assert prod_bal == any_bal
