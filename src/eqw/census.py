@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import ResourceCapError
 from .oracles import simon_canonical_state
-from .separability import FACTOR_CAP, finest_factorization, sign_block_sizes
+from .separability import FACTOR_CAP, check_factor_cap, finest_factorization, sign_block_sizes
 
 FRACTION_CAP = 20
 DJ_FULL_CAP = 4
@@ -286,14 +286,6 @@ class CensusReport:
         out["rows"] = rows
         return out
 
-    def to_csv(self) -> str:
-        lines = ["class,formula,oracle,relation"]
-        for r in self.rows:
-            formula = "" if r.formula is None else str(r.formula)
-            oracle = "" if r.oracle is None else str(r.oracle)
-            lines.append(f"{r.class_name},{formula},{oracle},{r.relation}")
-        return "\n".join(lines) + "\n"
-
     def failures(self) -> list[str]:
         return [msg for msg in (r.check() for r in self.rows) if msg]
 
@@ -334,10 +326,7 @@ def _placement_histogram(n: int, m: int, workers: int) -> Counter:
     process. States above FACTOR_CAP qubits, and scans of more than
     PLACEMENT_CAP placements, are refused before any scan.
     """
-    if n > FACTOR_CAP:
-        raise ResourceCapError(
-            f"factorization capped at {FACTOR_CAP} qubits (state has {n}); raise the cap to proceed"
-        )
+    check_factor_cap(n)
     total = binom(1 << n, m)
     if total > PLACEMENT_CAP:
         raise ResourceCapError(

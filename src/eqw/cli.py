@@ -17,7 +17,6 @@ import click
 
 from . import census as census_mod
 from .census import (
-    CensusReport,
     dj_formula_report,
     dj_fractions,
     enumerate_dj,
@@ -31,12 +30,13 @@ from .errors import ResourceCapError
 from .oracles import (
     SimonInstance,
     make_simon_instance,
+    parse_period,
     prepare_dj_state,
     simon_canonical_state,
     simon_measure,
 )
 from .rng import SplitMix64
-from .separability import FACTOR_CAP, SeparabilityReport, classify
+from .separability import FACTOR_CAP, check_factor_cap, classify
 from .states import (
     LinearForm,
     StateVector,
@@ -88,70 +88,29 @@ def _guard(fn):
     return wrapper
 
 
-def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2), file=sys.stdout)
+def _emit(fmt: str, payload: dict, header: list[str], rows: list[list[str]],
+          footer: str | None = None) -> None:
+    """Print one result: JSON from payload, CSV or an aligned table from the rows.
 
-
-def _emit_csv_rows(header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    click.echo(buf.getvalue(), file=sys.stdout, nl=False)
-
-
-def _emit_table(header: list[str], rows: list[list[str]]) -> None:
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    click.echo(fmt.format(*header).rstrip(), file=sys.stdout)
-    click.echo("  ".join("-" * w for w in widths), file=sys.stdout)
-    for row in rows:
-        click.echo(fmt.format(*row).rstrip(), file=sys.stdout)
-
-
-def _report_rows(report: SeparabilityReport) -> list[list[str]]:
-    return [
-        [
-            str(report.q),
-            report.label,
-            str(i + 1),
-            " ".join(str(q) for q in qs),
-            " ".join(str(a) for a in f.amps),
-        ]
-        for i, (qs, f) in enumerate(report.factorization.blocks)
-    ]
-
-
-def _emit_report(report: SeparabilityReport, fmt: str) -> None:
+    The table alone ends with the footer line, when one is given.
+    """
     if fmt == "json":
-        _emit_json(report.to_dict())
-        return
-    header = ["q", "label", "block", "qubits", "amps"]
-    rows = _report_rows(report)
-    if fmt == "csv":
-        _emit_csv_rows(header, rows)
-    else:
-        _emit_table(header, rows)
-
-
-def _emit_census(report: CensusReport, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(report.to_dict())
+        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
     elif fmt == "csv":
-        click.echo(report.to_csv(), file=sys.stdout, nl=False)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        click.echo(buf.getvalue(), file=sys.stdout, nl=False)
     else:
-        rows = [
-            [
-                r.class_name,
-                "" if r.formula is None else str(r.formula),
-                "" if r.oracle is None else str(r.oracle),
-                r.relation,
-            ]
-            for r in report.rows
-        ]
-        _emit_table(["class", "formula", "oracle", "relation"], rows)
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        line = "  ".join(f"{{:<{w}}}" for w in widths)
+        click.echo(line.format(*header).rstrip(), file=sys.stdout)
+        click.echo("  ".join("-" * w for w in widths), file=sys.stdout)
+        for row in rows:
+            click.echo(line.format(*row).rstrip(), file=sys.stdout)
+        if footer is not None:
+            click.echo(footer, file=sys.stdout)
 
 
 def _sparse_state(s: StateVector) -> dict:
@@ -182,20 +141,33 @@ def classify_cmd(n, truth_table, simon_r, bv_a, fmt, max_n):
             "give exactly one of --truth-table, --simon-r, --bv-a"
         )
     if truth_table is not None:
-        state = state_from_function(parse_function(n, truth_table))
+        f = parse_function(n, truth_table)
     elif simon_r is not None:
-        state = simon_canonical_state(n, simon_r)
+        period = parse_period(n, simon_r)
+    elif len(bv_a) != n or not set(bv_a) <= {"0", "1"}:
+        raise ValueError(f"--bv-a must be an {n}-bit string, got {bv_a!r}")
+    cap = _effective_cap(FACTOR_CAP, max_n)
+    check_factor_cap(n, cap)
+    if simon_r is not None:
+        state = simon_canonical_state(n, period)
     else:
-        if len(bv_a) != n or not set(bv_a) <= {"0", "1"}:
-            raise ValueError(f"--bv-a must be an {n}-bit string, got {bv_a!r}")
-        state = state_from_function(
-            bv_function(LinearForm(n, tuple(int(c) for c in bv_a)))
-        )
-    report = classify(state, cap=_effective_cap(FACTOR_CAP, max_n))
-    _emit_report(report, fmt)
+        if bv_a is not None:
+            f = bv_function(LinearForm(n, tuple(int(c) for c in bv_a)))
+        state = state_from_function(f)
+    payload = classify(state, cap=cap).to_dict()
+    rows = [
+        [str(payload["q"]), payload["label"], str(i),
+         " ".join(map(str, block["qubits"])), " ".join(block["amps"])]
+        for i, block in enumerate(payload["blocks"], 1)
+    ]
+    _emit(fmt, payload, ["q", "label", "block", "qubits", "amps"], rows)
 
 
-def _grover_function(n: int, m: int | None, solutions: str | None, seed: int):
+def _grover_function(n: int, m: int | None, solutions: str | None, seed: int, cap: int):
+    """The marked set, from --solutions or M seeded draws, and its function.
+
+    The flags are validated and the qubit cap checked before any 2^n work.
+    """
     size = 1 << n
     if (m is None) == (solutions is None):
         raise click.UsageError("give exactly one of --m or --solutions")
@@ -206,9 +178,10 @@ def _grover_function(n: int, m: int | None, solutions: str | None, seed: int):
             raise ValueError(f"--solutions must be comma-separated integers") from None
         if not marked or any(not 0 <= x < size for x in marked):
             raise ValueError(f"solution indices must lie in 0..{size - 1}")
-    else:
-        if not 0 < m < size:
-            raise ValueError(f"need 0 < M < 2^n, got M={m}")
+    elif not 0 < m < size:
+        raise ValueError(f"need 0 < M < 2^n, got M={m}")
+    check_factor_cap(n, cap)
+    if solutions is None:
         pool = list(range(size))
         SplitMix64(seed).shuffle(pool)
         marked = sorted(pool[:m])
@@ -237,62 +210,45 @@ def simulate_cmd(algorithm, n, truth_table, m, solutions, r, seed, instance_path
                  instance_out, fmt, max_n):
     """Run one oracle pipeline and classify the prepared state."""
     cap = _effective_cap(FACTOR_CAP, max_n)
-    if algorithm == "dj":
-        if truth_table is None:
-            raise click.UsageError("dj needs --truth-table")
-        f = parse_function(n, truth_table)
-        state = prepare_dj_state(f)
-        payload = {
-            "algorithm": "dj",
-            "n": n,
-            "truth_table": f.bits(),
-            "state": _sparse_state(state),
-            "report": classify(state, cap=cap).to_dict(),
-        }
-    elif algorithm == "grover":
-        f, marked = _grover_function(n, m, solutions, seed)
-        state = prepare_dj_state(f)
-        payload = {
-            "algorithm": "grover",
-            "n": n,
-            "solutions": marked,
-            "seed": seed,
-            "truth_table": f.bits(),
-            "state": _sparse_state(state),
-            "report": classify(state, cap=cap).to_dict(),
-        }
-    else:
+    if algorithm == "simon":
         if instance_path is not None:
             with open(instance_path, "r", encoding="utf-8") as fh:
                 inst = SimonInstance.from_dict(json.load(fh))
+            if inst.n != n:
+                raise ValueError(f"--n {n} does not match the instance's n = {inst.n}")
+            check_factor_cap(n, cap)
+        elif r is None:
+            raise click.UsageError("simon needs --r or --instance")
         else:
-            if r is None:
-                raise click.UsageError("simon needs --r or --instance")
-            inst = make_simon_instance(n, r, seed)
-        outcome = simon_measure(inst, seed)
-        payload = {
-            "algorithm": "simon",
-            "seed": seed,
-            "instance": inst.to_dict(),
-            "observed": outcome.observed_bits(),
-            "state": _sparse_state(outcome.collapsed),
-            "report": classify(outcome.collapsed, cap=cap).to_dict(),
-        }
+            period = parse_period(n, r)
+            check_factor_cap(n, cap)
+            inst = make_simon_instance(n, period, seed)
         if instance_out:
             with open(instance_out, "w", encoding="utf-8") as fh:
                 json.dump(inst.to_dict(), fh, indent=2)
                 fh.write("\n")
-    if fmt == "json":
-        _emit_json(payload)
+        outcome = simon_measure(inst, seed)
+        state = outcome.collapsed
+        payload = {"algorithm": "simon", "seed": seed, "instance": inst.to_dict(),
+                   "observed": outcome.observed_bits()}
     else:
-        state_obj = payload["state"]
-        rows = [[k, str(v)] for k, v in payload.items() if k not in ("state", "report")]
-        rows += [["amp[" + idx + "]", val] for idx, val in state_obj["amps"].items()]
-        rows += [["q", str(payload["report"]["q"])], ["label", payload["report"]["label"]]]
-        if fmt == "csv":
-            _emit_csv_rows(["field", "value"], rows)
+        if algorithm == "dj":
+            if truth_table is None:
+                raise click.UsageError("dj needs --truth-table")
+            f = parse_function(n, truth_table)
+            check_factor_cap(n, cap)
+            head = {}
         else:
-            _emit_table(["field", "value"], rows)
+            f, marked = _grover_function(n, m, solutions, seed, cap)
+            head = {"solutions": marked, "seed": seed}
+        state = prepare_dj_state(f)
+        payload = {"algorithm": algorithm, "n": n, **head, "truth_table": f.bits()}
+    payload["state"] = _sparse_state(state)
+    payload["report"] = classify(state, cap=cap).to_dict()
+    rows = [[k, str(v)] for k, v in payload.items() if k not in ("state", "report")]
+    rows += [["amp[" + idx + "]", val] for idx, val in payload["state"]["amps"].items()]
+    rows += [["q", str(payload["report"]["q"])], ["label", payload["report"]["label"]]]
+    _emit(fmt, payload, ["field", "value"], rows)
 
 
 @main.command("census")
@@ -303,7 +259,8 @@ def simulate_cmd(algorithm, n, truth_table, m, solutions, r, seed, instance_path
 @click.option("--workers", type=int, default=None,
               help="Enumeration worker processes [default: available cores].")
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
-@click.option("--max-n", "max_n", type=int, default=None, help="Raise the n cap.")
+@click.option("--max-n", "max_n", type=int, default=None,
+              help="Raise the exhaustive DJ cap (n = 4) and the Simon 12-qubit cap.")
 @_guard
 def census_cmd(algorithm, n, m, exhaustive, workers, fmt, max_n):
     """Closed-form counts, optionally reconciled against exhaustive enumeration."""
@@ -323,7 +280,10 @@ def census_cmd(algorithm, n, m, exhaustive, workers, fmt, max_n):
     else:
         cap = _effective_cap(FACTOR_CAP, max_n)
         report = enumerate_simon(n, cap=cap) if exhaustive else simon_formula_report(n)
-    _emit_census(report, fmt)
+    payload = report.to_dict()
+    rows = [[row["class"], row["formula"] or "", row["oracle"] or "", row["relation"]]
+            for row in payload["rows"]]
+    _emit(fmt, payload, ["class", "formula", "oracle", "relation"], rows)
 
 
 @main.command("verify")
@@ -352,26 +312,19 @@ def verify_cmd(suite, n_range, workers, fmt):
         raise ValueError(f"--n range must satisfy 2 <= lo <= hi, got {n_range!r}")
     checks = run_verify(suite, list(range(lo, hi + 1)), workers=workers)
     failed = [c for c in checks if c.status == STATUS_FAIL]
-    if fmt == "json":
-        _emit_json(
-            {
-                "suite": suite,
-                "n": f"{lo}..{hi}",
-                "passed": not failed,
-                "checks": [
-                    {"suite": c.suite, "name": c.name, "status": c.status, "detail": c.detail}
-                    for c in checks
-                ],
-            }
-        )
-    else:
-        rows = [[c.status.upper(), c.suite, c.name, c.detail] for c in checks]
-        if fmt == "csv":
-            _emit_csv_rows(["status", "suite", "name", "detail"], rows)
-        else:
-            _emit_table(["status", "suite", "name", "detail"], rows)
-            n_pass = sum(1 for c in checks if c.status == "pass")
-            click.echo(f"{n_pass} passed, {len(failed)} failed", file=sys.stdout)
+    payload = {
+        "suite": suite,
+        "n": f"{lo}..{hi}",
+        "passed": not failed,
+        "checks": [
+            {"suite": c.suite, "name": c.name, "status": c.status, "detail": c.detail}
+            for c in checks
+        ],
+    }
+    rows = [[c.status.upper(), c.suite, c.name, c.detail] for c in checks]
+    n_pass = sum(1 for c in checks if c.status == "pass")
+    _emit(fmt, payload, ["status", "suite", "name", "detail"], rows,
+          footer=f"{n_pass} passed, {len(failed)} failed")
     if failed:
         sys.exit(EXIT_VERIFY_FAILED)
 
@@ -397,18 +350,12 @@ def asymptotics_cmd(max_n, fmt):
             grover_bisep_fraction_log2(n, 2),
             grover_bisep_fraction_log2(n, 4) if (1 << n) > 4 else None,
         ))))
-    if fmt == "json":
-        _emit_json({"rows": rows})
-        return
     cells = [
         ["" if row[k] is None else (str(row[k]) if k == "n" else f"{row[k]:.6f}")
          for k in header]
         for row in rows
     ]
-    if fmt == "csv":
-        _emit_csv_rows(header, cells)
-    else:
-        _emit_table(header, cells)
+    _emit(fmt, {"rows": rows}, header, cells)
 
 
 if __name__ == "__main__":

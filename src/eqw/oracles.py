@@ -11,23 +11,10 @@ from dataclasses import dataclass
 
 from .errors import ResourceCapError, TargetEntanglementError
 from .rng import SplitMix64
-from .separability import Bipartition, try_factor
+from .separability import Bipartition, hadamard_all, try_factor
 from .states import BooleanFunction, StateVector
 
 GLOBAL_STATE_CAP = 8
-
-
-def _hadamard_all(amps: list[int], m: int, qubits: range) -> None:
-    """Unnormalized Hadamard on each listed qubit of an m-qubit vector, in place."""
-    for q in qubits:
-        bit = 1 << (m - q)
-        for x in range(len(amps)):
-            if x & bit:
-                continue
-            y = x | bit
-            a, b = amps[x], amps[y]
-            amps[x] = a + b
-            amps[y] = a - b
 
 
 def _split_register_target(state: StateVector) -> tuple[StateVector, StateVector]:
@@ -62,7 +49,7 @@ def dj_oracle_pipeline(f: BooleanFunction) -> tuple[StateVector, StateVector]:
     m = n + 1
     amps = [0] * (1 << m)
     amps[0], amps[1] = 1, -1
-    _hadamard_all(amps, m, range(1, n + 1))
+    hadamard_all(amps, skip=1)
     bits = f.bits()
     x = bits.find("1")
     while x >= 0:
@@ -165,7 +152,8 @@ class MeasurementOutcome:
         return format(self.observed, f"0{self.n}b")
 
 
-def _parse_period(n: int, r: int | str) -> int:
+def parse_period(n: int, r: int | str) -> int:
+    """A nonzero n-bit period, given as a bit string or an int, as an int."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if isinstance(r, str):
@@ -186,7 +174,7 @@ def make_simon_instance(n: int, r: int | str, seed: int) -> SimonInstance:
     shuffle of all 2^n output words (splitmix64 keyed by the seed) assigns
     each coset, in ascending-representative order, a distinct output.
     """
-    rv = _parse_period(n, r)
+    rv = parse_period(n, r)
     size = 1 << n
     labels = list(range(size))
     SplitMix64(seed).shuffle(labels)
@@ -229,7 +217,7 @@ def simon_measure(inst: SimonInstance, seed: int) -> MeasurementOutcome:
 
 def simon_canonical_state(n: int, r: int | str) -> StateVector:
     """Two-term state |0...0> + |r>, the xbar = 0 representative of a collapse."""
-    rv = _parse_period(n, r)
+    rv = parse_period(n, r)
     amps = [0] * (1 << n)
     amps[0] = 1
     amps[rv] = 1

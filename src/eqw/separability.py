@@ -219,16 +219,21 @@ def _split_blocks(
     return [(qubits, s)]
 
 
+def check_factor_cap(n: int, cap: int = FACTOR_CAP) -> None:
+    """Refuse an n-qubit factorization above the cap, before any 2^n work."""
+    if n > cap:
+        raise ResourceCapError(
+            f"factorization capped at {cap} qubits (state has {n}); raise the cap to proceed"
+        )
+
+
 def finest_factorization(s: StateVector, cap: int = FACTOR_CAP) -> Factorization:
     """Peel factors greedily by subset size until no bipartition splits.
 
     Subsets of each size are tried in lexicographic order, so the result is
     deterministic; the partition itself is unique for pure states.
     """
-    if s.m > cap:
-        raise ResourceCapError(
-            f"factorization capped at {cap} qubits (state has {s.m}); raise the cap to proceed"
-        )
+    check_factor_cap(s.m, cap)
     blocks = _split_blocks(tuple(range(1, s.m + 1)), s)
     blocks.sort(key=lambda b: b[0][0])
     return Factorization(s.m, tuple(blocks))
@@ -319,16 +324,15 @@ def sign_block_sizes(n: int, table: int) -> tuple[int, ...]:
     return tuple(sorted(blk.bit_count() for blk in set(block)))
 
 
-def wht(s: StateVector) -> list[int]:
-    """Walsh-Hadamard spectrum of a sign vector by the in-place butterfly.
+def hadamard_all(a: list[int], skip: int = 0) -> list[int]:
+    """Unnormalized Hadamard on every qubit of a but the last ``skip``, in place.
 
-    spectrum[a] = sum_x s[x] * (-1)^(a.x), with a encoded under the shared
-    bit convention. O(n 2^n) integer additions.
+    The butterfly maps each pair (a[j], a[j + h]) to (a[j] + a[j + h],
+    a[j] - a[j + h]) for every index bit h from bit ``skip`` up, so the
+    ``skip`` least significant bits, the last qubits, are left alone.
+    O(n 2^n) integer additions; returns a.
     """
-    if not s.is_sign_vector():
-        raise ValueError("spectrum is defined here for +-1 amplitude vectors only")
-    a = list(s.amps)
-    h = 1
+    h = 1 << skip
     size = len(a)
     while h < size:
         for start in range(0, size, h * 2):
@@ -338,6 +342,17 @@ def wht(s: StateVector) -> list[int]:
                 a[j + h] = x - y
         h *= 2
     return a
+
+
+def wht(s: StateVector) -> list[int]:
+    """Walsh-Hadamard spectrum of a sign vector by the in-place butterfly.
+
+    spectrum[a] = sum_x s[x] * (-1)^(a.x), with a encoded under the shared
+    bit convention. O(n 2^n) integer additions.
+    """
+    if not s.is_sign_vector():
+        raise ValueError("spectrum is defined here for +-1 amplitude vectors only")
+    return hadamard_all(list(s.amps))
 
 
 def full_separability_fast(s: StateVector) -> Optional[tuple[LinearForm, int]]:

@@ -142,7 +142,7 @@ def parse_function(n: int, text: str) -> BooleanFunction:
             value = int(text, 16)
         except ValueError:
             raise ValueError(f"malformed hex truth table {text!r}") from None
-        if value >= (1 << (1 << n)):
+        if value.bit_length() > 1 << n:
             raise ValueError(f"hex truth table {text!r} does not fit 2^{n} bits")
         return BooleanFunction(n, value)
     return make_function(n, text)

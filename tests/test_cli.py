@@ -1,15 +1,24 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+import eqw.cli as cli
 from eqw.cli import main
 from eqw.rng import SplitMix64
+
+# stdout SHA-256 of json, csv and table output that the benchmark's pinned
+# digests (json census and asymptotics, table verify) leave uncovered
+PINNED = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
+SIMON_INSTANCE = {"n": 3, "r": "101",
+                  "table": ["011", "000", "101", "110", "000", "011", "110", "101"]}
 
 
 @pytest.fixture()
@@ -164,6 +173,39 @@ def test_simulate_simon_rejects_a_malformed_instance_file(runner, tmp_path, cont
     assert res.stderr.startswith("error: ") and field in res.stderr
 
 
+def test_simulate_simon_rejects_an_instance_of_another_size(runner, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(SIMON_INSTANCE))
+    res = runner.invoke(main, ["simulate", "simon", "--n", "9", "--instance", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: --n 9 does not match the instance's n = 3\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--n", "22", "--truth-table", "0x1"],
+    ["classify", "--n", "30", "--truth-table", "0x1"],
+    ["classify", "--n", "13", "--simon-r", "1" * 13],
+    ["classify", "--n", "13", "--bv-a", "1" * 13],
+    ["simulate", "dj", "--n", "18", "--truth-table", "0x1"],
+    ["simulate", "grover", "--n", "20", "--m", "3"],
+    ["simulate", "grover", "--n", "13", "--solutions", "1,2"],
+    ["simulate", "simon", "--n", "20", "--r", "1" * 20],
+], ids=" ".join)
+def test_over_cap_runs_exit_3_before_building_a_state(runner, monkeypatch, args):
+    def refuse(*_args, **_kwargs):
+        raise RuntimeError("a state was built for a run over the cap")
+
+    for name in ("state_from_function", "bv_function", "simon_canonical_state",
+                 "make_function", "prepare_dj_state", "make_simon_instance", "SplitMix64"):
+        monkeypatch.setattr(cli, name, refuse)
+    res = runner.invoke(main, args)
+    n = args[args.index("--n") + 1]
+    assert res.exit_code == 3
+    assert res.stderr == (
+        f"error: factorization capped at 12 qubits (state has {n}); raise the cap to proceed\n"
+    )
+
+
 def test_simulate_grover_seeded_and_explicit(runner):
     a = invoke(runner, "simulate", "grover", "--n", "3", "--m", "2", "--seed", "5")
     b = invoke(runner, "simulate", "grover", "--n", "3", "--m", "2", "--seed", "5")
@@ -300,6 +342,15 @@ def test_asymptotics_without_rows_prints_only_the_header(runner, max_n):
     assert out["csv"].output == header + "\n"
     names, dashes = out["table"].output.splitlines()
     assert names.split() == header.split(",") and set(dashes) == {"-", " "}
+
+
+@pytest.mark.parametrize("line", sorted(PINNED))
+def test_output_matches_its_pinned_digest(runner, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.json").write_text(json.dumps(SIMON_INSTANCE))
+    res = invoke(runner, *line.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == PINNED[line]
 
 
 def test_in_process_commands_free_their_output_streams(runner):
