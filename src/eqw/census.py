@@ -290,11 +290,26 @@ class CensusReport:
         return [msg for msg in (r.check() for r in self.rows) if msg]
 
 
-def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
-    shards = max(1, shards)
+def shard_bounds(total: int, workers: int, min_shard: int) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) ranges that cover range(total) in order: one per
+    worker, but at most one per min_shard items, rounded up, and at least one."""
+    shards = max(1, min(workers, -(-total // min_shard)))
     step, extra = divmod(total, shards)
     cuts = [i * step + min(i, extra) for i in range(shards + 1)]
     return list(zip(cuts, cuts[1:]))
+
+
+def pool_map(fn, jobs: list) -> list:
+    """[fn(job) for job in jobs], one worker process per job; a single job
+    runs in process.
+
+    This is the package's one process pool. Its workers are daemonic and
+    cannot start pools of their own, so no job may call ``enumerate_*``.
+    """
+    if len(jobs) <= 1:
+        return list(map(fn, jobs))
+    with multiprocessing.Pool(processes=len(jobs)) as pool:
+        return pool.map(fn, jobs)
 
 
 def placements(n: int, m: int, lo: int = 0, hi: Optional[int] = None):
@@ -332,12 +347,8 @@ def _placement_histogram(n: int, m: int, workers: int) -> Counter:
         raise ResourceCapError(
             f"placement scan capped at {PLACEMENT_CAP} placements, B(2^{n}, {m}) = {total}"
         )
-    shards = min(workers, -(-total // MIN_SHARD_PLACEMENTS))
-    jobs = [(n, m, lo, hi) for lo, hi in _shard_bounds(total, shards)]
-    if len(jobs) <= 1:
-        return sum(map(_scan_placements, jobs), Counter())
-    with multiprocessing.Pool(processes=len(jobs)) as pool:
-        return sum(pool.map(_scan_placements, jobs), Counter())
+    jobs = [(n, m, lo, hi) for lo, hi in shard_bounds(total, workers, MIN_SHARD_PLACEMENTS)]
+    return sum(pool_map(_scan_placements, jobs), Counter())
 
 
 def _report_rows(rows: list[tuple], enumerated: bool) -> tuple[CensusRow, ...]:
@@ -483,15 +494,23 @@ def _grover_rows(
     return _report_rows(rows, qcounts is not None)
 
 
-def enumerate_grover(
-    n: int, m: int, workers: int = 1, cap_states: int = GROVER_STATE_CAP
-) -> CensusReport:
-    """Classify every placement of M minus signs among the 2^n amplitudes."""
+def check_grover_caps(n: int, m: int, cap_states: int = GROVER_STATE_CAP) -> GroverCounts:
+    """Refuse an (n, M) scan of more than cap_states states, or one above the
+    qubit cap, before it starts; else return its closed-form counts."""
     gc = count_grover(n, m)
     if gc.total > cap_states:
         raise ResourceCapError(
             f"enumeration capped at {cap_states} states, B(2^{n}, {m}) = {gc.total}"
         )
+    check_factor_cap(n)
+    return gc
+
+
+def enumerate_grover(
+    n: int, m: int, workers: int = 1, cap_states: int = GROVER_STATE_CAP
+) -> CensusReport:
+    """Classify every placement of M minus signs among the 2^n amplitudes."""
+    gc = check_grover_caps(n, m, cap_states)
     qcounts = [0] * (n + 1)
     for sizes, count in _placement_histogram(n, m, workers).items():
         qcounts[len(sizes)] += count
@@ -527,8 +546,7 @@ def _simon_rows(sc: SimonCensus, classes: Optional[Counter]) -> tuple[CensusRow,
 def enumerate_simon(n: int, cap: int = FACTOR_CAP) -> CensusReport:
     """Classify the collapsed state of every nonzero period on n qubits."""
     sc = count_simon(n)
-    if n > cap:
-        raise ResourceCapError(f"enumeration capped at n = {cap}, got {n}")
+    check_factor_cap(n, cap)
     classes = Counter(
         (r.bit_count(), finest_factorization(simon_canonical_state(n, r), cap=cap).q)
         for r in range(1, 1 << n)

@@ -43,6 +43,7 @@ from .states import (
     bv_function,
     make_function,
     parse_function,
+    require_qubit_count,
     state_from_function,
 )
 from .verify import STATUS_FAIL, run_verify
@@ -168,6 +169,7 @@ def _grover_function(n: int, m: int | None, solutions: str | None, seed: int, ca
 
     The flags are validated and the qubit cap checked before any 2^n work.
     """
+    require_qubit_count(n)
     size = 1 << n
     if (m is None) == (solutions is None):
         raise click.UsageError("give exactly one of --m or --solutions")
@@ -256,7 +258,7 @@ def simulate_cmd(algorithm, n, truth_table, m, solutions, r, seed, instance_path
 @click.option("--n", "n", type=int, required=True)
 @click.option("--m", "m", type=int, default=None, help="grover: number of solutions.")
 @click.option("--exhaustive", is_flag=True, help="Add enumeration-oracle columns.")
-@click.option("--workers", type=int, default=None,
+@click.option("--workers", type=click.IntRange(min=1), default=None,
               help="Enumeration worker processes [default: available cores].")
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
 @click.option("--max-n", "max_n", type=int, default=None,
@@ -291,8 +293,8 @@ def census_cmd(algorithm, n, m, exhaustive, workers, fmt, max_n):
               default="all", show_default=True)
 @click.option("--n", "n_range", default="2..4", show_default=True,
               help="Qubit range, e.g. 3 or 2..4.")
-@click.option("--workers", type=int, default=None,
-              help="Enumeration worker processes [default: available cores].")
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              help="Worker processes for scans and sampled checks [default: available cores].")
 @click.option("--format", "fmt", type=FORMATS, default="table", show_default=True)
 @_guard
 def verify_cmd(suite, n_range, workers, fmt):

@@ -20,7 +20,7 @@ _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 _SIGNS = {"0": 1, "1": -1}
 
 
-def _require_qubit_count(n: int) -> None:
+def require_qubit_count(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"qubit count must be a positive integer, got {n!r}")
 
@@ -33,7 +33,7 @@ class BooleanFunction:
     table: int
 
     def __post_init__(self):
-        _require_qubit_count(self.n)
+        require_qubit_count(self.n)
         size = 1 << self.n
         if not isinstance(self.table, int) or self.table < 0 or self.table.bit_length() > size:
             raise ValueError(f"truth table must be an int of at most 2^{self.n} = {size} bits")
@@ -54,7 +54,7 @@ class StateVector:
     amps: tuple[int, ...]
 
     def __post_init__(self):
-        _require_qubit_count(self.m)
+        require_qubit_count(self.m)
         if len(self.amps) != 1 << self.m:
             raise ValueError(
                 f"amplitude vector has {len(self.amps)} entries, expected 2^{self.m}"
@@ -96,7 +96,7 @@ class LinearForm:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        _require_qubit_count(self.n)
+        require_qubit_count(self.n)
         if len(self.bits) != self.n:
             raise ValueError(f"expected {self.n} bits, got {len(self.bits)}")
         if any(b not in (0, 1) for b in self.bits):
@@ -109,7 +109,7 @@ class LinearForm:
 
     @classmethod
     def from_value(cls, n: int, value: int) -> "LinearForm":
-        _require_qubit_count(n)
+        require_qubit_count(n)
         if not 0 <= value < (1 << n):
             raise ValueError(f"value {value} out of range for {n} bits")
         return cls(n, tuple((value >> (n - i)) & 1 for i in range(1, n + 1)))
@@ -119,7 +119,7 @@ def make_function(n: int, table: Sequence[int] | str) -> BooleanFunction:
     """Pack a {0,1} string or bit sequence of length 2^n, index ascending."""
     if isinstance(table, str) and not set(table) <= {"0", "1"}:
         raise ValueError(f"truth table string must be over {{0,1}}, got {table!r}")
-    _require_qubit_count(n)
+    require_qubit_count(n)
     if len(table) != 1 << n:
         raise ValueError(f"truth table has {len(table)} entries, expected 2^{n} = {1 << n}")
     if not isinstance(table, str):
@@ -136,7 +136,7 @@ def parse_function(n: int, text: str) -> BooleanFunction:
     "0x...": the packed table, bit of input x at position x counted from
     the least significant bit of the hex value.
     """
-    _require_qubit_count(n)
+    require_qubit_count(n)
     if text.lower().startswith("0x"):
         try:
             value = int(text, 16)
@@ -166,7 +166,7 @@ def state_from_function(f: BooleanFunction) -> StateVector:
 
 def uniform_state(n: int) -> StateVector:
     """All 2^n amplitudes equal to +1."""
-    _require_qubit_count(n)
+    require_qubit_count(n)
     return StateVector(n, (1,) * (1 << n))
 
 

@@ -17,11 +17,15 @@ from typing import Callable, Iterable, Sequence
 
 from .census import (
     RELATION_UPPER,
+    check_grover_caps,
+    count_balanced,
     count_dj_bisep_upper,
     enumerate_dj,
     enumerate_grover,
     enumerate_simon,
     placements,
+    pool_map,
+    shard_bounds,
 )
 from .oracles import (
     dj_oracle_pipeline,
@@ -33,6 +37,7 @@ from .oracles import (
 from .rng import SplitMix64
 from .separability import (
     Bipartition,
+    check_factor_cap,
     classify,
     full_separability_fast,
     schmidt_rank,
@@ -43,6 +48,12 @@ from .states import BooleanFunction, StateVector, state_from_function, tensor_al
 
 SAMPLE_BUDGET = 10_000
 _SAMPLE_SEED = 0x5EED
+# At most one pool shard per this many candidates, rounded up. On a 2-core
+# host a two-worker pool took 6-19 ms to start and stop, while one candidate
+# cost 7 us (lemma decomposition), 28 us (spectral), 40 us (pipeline) and
+# 650 us (Simon classes at n = 12), so a shard this long is at least about
+# as much work as the pool costs, and a scan no longer runs in process.
+MIN_SHARD_CANDIDATES = 2_048
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -65,6 +76,18 @@ def _check(suite: str, name: str, candidates: Iterable, is_bad: Callable[..., bo
         if is_bad(c):
             return Check(suite, name, STATUS_FAIL, fail_detail(c))
     return Check(suite, name, STATUS_PASS, pass_detail)
+
+
+def _sharded(check: Callable[[Sequence], Check], candidates: Sequence, workers: int) -> Check:
+    """check(candidates), run on contiguous shards of candidates over the pool.
+
+    Each shard runs the unchanged check. The first shard's FAIL, else the
+    first PASS, is what one serial scan returns: the same first
+    counterexample and the same detail text.
+    """
+    bounds = shard_bounds(len(candidates), workers, MIN_SHARD_CANDIDATES)
+    results = pool_map(check, [candidates[lo:hi] for lo, hi in bounds])
+    return next((c for c in results if c.status == STATUS_FAIL), results[0])
 
 
 def function_sample(n: int, per_n: int, rng: SplitMix64, noun: str) -> tuple[Sequence[int], str]:
@@ -146,12 +169,15 @@ def check_lemma_product(n: int) -> Check:
                   f"{count} factor tuples, product balanced iff a factor is")
 
 
-def check_lemma_decomposition(n: int) -> Check:
+def check_lemma_decomposition(n: int, ranks: range | None = None) -> Check:
     """Every balanced sign vector that splits has a balanced block.
 
-    The ANF kernel screens out the vectors with one block, so only the
-    splittable ones are built and factored.
+    Scans the balanced tables with combination rank in ranks, by default
+    all of them. The ANF kernel screens out the vectors with one block, so
+    only the splittable ones are built and factored.
     """
+    if ranks is None:
+        ranks = range(count_balanced(n))
 
     def no_balanced_block(table: int) -> bool:
         if len(sign_block_sizes(n, table)) < 2:
@@ -161,7 +187,8 @@ def check_lemma_decomposition(n: int) -> Check:
             f.plus_count() == f.minus_count() for _, f in rep.factorization.blocks
         )
 
-    return _check("lemma", f"decomposition-direction n={n}", placements(n, 1 << (n - 1)),
+    return _check("lemma", f"decomposition-direction n={n}",
+                  placements(n, 1 << (n - 1), ranks.start, ranks.stop),
                   no_balanced_block,
                   lambda t: f"no balanced block for balanced table {BooleanFunction(n, t).bits()}",
                   "every splittable balanced sign vector has a balanced block")
@@ -194,9 +221,11 @@ def _simon_class_problem(n: int, r: int) -> str | None:
     return None
 
 
-def check_simon_classes(n: int) -> Check:
-    """Every period's collapsed state is in class q = n - wt(r) + 1."""
-    return _check("simon", f"collapsed-classes n={n}", range(1, 1 << n),
+def check_simon_classes(n: int, periods: Sequence[int] | None = None) -> Check:
+    """Each period's collapsed state, by default every period's, is in class
+    q = n - wt(r) + 1."""
+    return _check("simon", f"collapsed-classes n={n}",
+                  range(1, 1 << n) if periods is None else periods,
                   lambda r: _simon_class_problem(n, r) is not None,
                   lambda r: f"period {r:0{n}b}: {_simon_class_problem(n, r)}",
                   f"all {(1 << n) - 1} periods in class q = n - wt(r) + 1")
@@ -254,19 +283,20 @@ def census_checks(suite: str, report, label: str) -> list[Check]:
     ]
 
 
-def verify_wht(ns: list[int]) -> list[Check]:
+def verify_wht(ns: list[int], workers: int = 1) -> list[Check]:
     """Spectral full-separability test against the factorization engine."""
     checks = []
     per_n = _per_n(ns)
     for n in ns:
         rng = SplitMix64(_SAMPLE_SEED ^ n)
-        checks.append(check_spectral(n, *function_sample(n, per_n, rng, "sign vectors")))
+        fis, mode = function_sample(n, per_n, rng, "sign vectors")
+        checks.append(_sharded(partial(check_spectral, n, mode=mode), fis, workers))
         if n <= 3:
             checks.append(check_parseval(n))
     return checks
 
 
-def verify_lemma(ns: list[int]) -> list[Check]:
+def verify_lemma(ns: list[int], workers: int = 1) -> list[Check]:
     """Balancedness of products vs factors, in both directions."""
     checks = []
     for n in ns:
@@ -274,7 +304,11 @@ def verify_lemma(ns: list[int]) -> list[Check]:
             checks.append(Check("lemma", f"product-direction n={n}", STATUS_INFO,
                                 "skipped: exhaustive product enumeration runs up to n = 4"))
         else:
-            checks += [check_lemma_product(n), check_lemma_decomposition(n)]
+            checks += [
+                check_lemma_product(n),
+                _sharded(partial(check_lemma_decomposition, n), range(count_balanced(n)),
+                         workers),
+            ]
     return checks
 
 
@@ -293,15 +327,21 @@ def verify_dj(ns: list[int], workers: int = 1) -> list[Check]:
     per_n = _per_n(ns)
     for n in ns:
         rng = SplitMix64((_SAMPLE_SEED + 1) ^ n)
-        checks.append(check_pipeline(n, *function_sample(n, per_n, rng, "functions")))
+        fis, mode = function_sample(n, per_n, rng, "functions")
+        checks.append(_sharded(partial(check_pipeline, n, mode=mode), fis, workers))
     return checks
+
+
+def _grover_ms(n: int) -> range:
+    """The solution counts the grover suite enumerates at n."""
+    return range(1, min(4, (1 << n) - 1) + 1)
 
 
 def verify_grover(ns: list[int], workers: int = 1) -> list[Check]:
     """Exhaustive per-q classification for every small solution count."""
     checks = []
     for n in ns:
-        for m in range(1, min(4, (1 << n) - 1) + 1):
+        for m in _grover_ms(n):
             report = enumerate_grover(n, m, workers=workers)
             checks += census_checks("grover", report, f"census n={n} M={m}")
             if m % 2 == 1:
@@ -309,14 +349,15 @@ def verify_grover(ns: list[int], workers: int = 1) -> list[Check]:
     return checks
 
 
-def verify_simon(ns: list[int], seeds: tuple[int, ...] = (0, 1, 2, 7, 11)) -> list[Check]:
+def verify_simon(ns: list[int], workers: int = 1,
+                 seeds: tuple[int, ...] = (0, 1, 2, 7, 11)) -> list[Check]:
     """Collapsed-state classes per period weight, seed invariance, register rank."""
     checks = []
     for n in ns:
         if n < 2:
             continue
         checks += census_checks("simon", enumerate_simon(n), f"census n={n}")
-        checks.append(check_simon_classes(n))
+        checks.append(_sharded(partial(check_simon_classes, n), range(1, 1 << n), workers))
         checks.append(check_seed_invariance(n, sorted({1, 0b11, (1 << n) - 1}), 1234, seeds))
         if n <= 4:
             checks.append(check_register_rank(n, 99))
@@ -332,9 +373,19 @@ SUITES = {
 }
 
 
+def _refuse_over_cap(names: list[str], ns: list[int]) -> None:
+    """Raise the first cap error the suites would hit, in the order they
+    would hit it, before any of them runs."""
+    for name in names:
+        for n in ns:
+            if name == "grover":
+                for m in _grover_ms(n):
+                    check_grover_caps(n, m)
+            elif name in ("simon", "wht"):
+                check_factor_cap(n)
+
+
 def run_verify(suite: str, ns: list[int], workers: int = 1) -> list[Check]:
-    checks: list[Check] = []
-    for name in list(SUITES) if suite == "all" else [suite]:
-        pool = {"workers": workers} if name in ("dj", "grover") else {}
-        checks += SUITES[name](ns, **pool)
-    return checks
+    names = list(SUITES) if suite == "all" else [suite]
+    _refuse_over_cap(names, ns)
+    return [check for name in names for check in SUITES[name](ns, workers=workers)]

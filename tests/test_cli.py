@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import eqw.cli as cli
+from eqw import census, verify
 from eqw.cli import main
 from eqw.rng import SplitMix64
 
@@ -206,6 +207,17 @@ def test_over_cap_runs_exit_3_before_building_a_state(runner, monkeypatch, args)
     )
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "dj", "--n", "-1", "--truth-table", "01"],
+    ["simulate", "grover", "--n", "-1", "--m", "1"],
+    ["simulate", "grover", "--n", "-1", "--solutions", "0"],
+], ids=" ".join)
+def test_simulate_rejects_a_negative_qubit_count(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stderr == "error: qubit count must be a positive integer, got -1\n"
+
+
 def test_simulate_grover_seeded_and_explicit(runner):
     a = invoke(runner, "simulate", "grover", "--n", "3", "--m", "2", "--seed", "5")
     b = invoke(runner, "simulate", "grover", "--n", "3", "--m", "2", "--seed", "5")
@@ -299,6 +311,47 @@ def test_verify_json_output(runner):
     data = json.loads(res.output)
     assert data["passed"] is True
     assert all(c["status"] in ("pass", "fail", "info") for c in data["checks"])
+
+
+@pytest.mark.parametrize("args", [
+    ["census", "dj", "--n", "3", "--exhaustive"],
+    ["verify", "--suite", "wht", "--n", "2"],
+], ids=" ".join)
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_exit_2(runner, monkeypatch, args, workers):
+    def refuse(*_args, **_kwargs):
+        raise RuntimeError("a command ran with fewer than one worker")
+
+    monkeypatch.setattr(cli, "enumerate_dj", refuse)
+    monkeypatch.setattr(cli, "run_verify", refuse)
+    res = runner.invoke(main, args + ["--workers", workers])
+    assert res.exit_code == 2
+    assert f"Invalid value for '--workers': {workers} is not in the range x>=1" in res.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--suite", "grover", "--n", "2..7", "--workers", "2"],
+     "enumeration capped at 10000000 states, B(2^7, 4) = 10668000"),
+    (["--suite", "all", "--n", "2..13"],
+     "enumeration capped at 10000000 states, B(2^7, 4) = 10668000"),
+    (["--suite", "grover", "--n", "13"],
+     "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
+    (["--suite", "wht", "--n", "2..13"],
+     "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
+    (["--suite", "simon", "--n", "2..13"],
+     "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_verify_over_cap_ranges_exit_3_before_any_suite_runs(runner, monkeypatch, args, message):
+    def refuse(*_args, **_kwargs):
+        raise RuntimeError("a suite ran for a range over the cap")
+
+    monkeypatch.setattr(census, "_placement_histogram", refuse)
+    monkeypatch.setattr(census, "finest_factorization", refuse)
+    monkeypatch.setattr(verify, "classify", refuse)
+    res = runner.invoke(main, ["verify", *args])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
 
 
 def test_verify_bad_range_exit_2(runner):

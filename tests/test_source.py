@@ -48,3 +48,26 @@ def test_sweep_keeps_the_names_the_benchmark_reads():
     called = [node.func for node in ast.walk(sweep) if isinstance(node, ast.Call)]
     assert any(isinstance(f, ast.Name) and f.id == "try_factor" for f in called)
     assert callable(separability._index_maps.cache_info)
+
+
+
+def test_one_function_starts_process_pools():
+    # every scan shards through census.pool_map, so the pool's start-up rule
+    # (one job runs in process) and its daemonic workers live in one place
+    def starts_pool(node) -> bool:
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "Pool"
+            or isinstance(node.func, ast.Name) and node.func.id == "Pool"
+        )
+
+    calls, functions = [], {}
+    for path in sorted(Path(eqw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if starts_pool(node)]
+        functions.update(
+            (f"{path.name}:{node.name}", node) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        )
+    pool_map = functions["census.py:pool_map"]
+    inside = [f"census.py:{node.lineno}" for node in ast.walk(pool_map) if starts_pool(node)]
+    assert len(calls) == 1 and calls == inside

@@ -1,6 +1,9 @@
 import pytest
+from click.testing import CliRunner
 
-from eqw import verify
+from eqw import census, cli, verify
+from eqw.census import shard_bounds
+from eqw.rng import SplitMix64
 from eqw.separability import wht
 from eqw.states import BooleanFunction, StateVector, state_from_function
 
@@ -37,3 +40,56 @@ def test_lemma_agreement_all_pairs_1x2():
             v = state_from_function(BooleanFunction(2, vb))
             prod_bal, any_bal = verify.lemma_check([u, v])
             assert prod_bal == any_bal
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_stdout_does_not_depend_on_the_worker_count(fmt):
+    # n = 4 has three scans long enough to shard: spectral, pipeline and
+    # lemma decomposition
+    runner = CliRunner()
+    outs = {
+        workers: runner.invoke(cli.main, ["verify", "--suite", "all", "--n", "2..4", "--format",
+                                          fmt, "--workers", workers], catch_exceptions=False)
+        for workers in ("1", "2", "5")
+    }
+    assert {res.exit_code for res in outs.values()} == {0}
+    assert outs["1"].stdout_bytes == outs["2"].stdout_bytes == outs["5"].stdout_bytes
+
+
+@pytest.mark.parametrize("bad_in_first_shard", [False, True])
+def test_a_sharded_scan_reports_the_serial_counterexample(monkeypatch, bad_in_first_shard):
+    # the spectral test is made to disagree with the engine at one table past
+    # the first of two shards, and optionally at one in the first shard too;
+    # forked workers carry the patch
+    fis, _ = verify.function_sample(4, verify.SAMPLE_BUDGET, SplitMix64(verify._SAMPLE_SEED ^ 4),
+                                    "sign vectors")
+    (lo, mid), (_, hi) = shard_bounds(len(fis), 2, verify.MIN_SHARD_CANDIDATES)
+    first = set(fis[lo:mid])
+    bad = {next(t for t in fis[mid:hi] if t not in first)}
+    if bad_in_first_shard:
+        bad.add(fis[mid // 2])
+    bad_amps = {state_from_function(BooleanFunction(4, t)).amps for t in bad}
+    real = verify.full_separability_fast
+
+    def flipped(s):
+        if s.amps in bad_amps:
+            return None if real(s) is not None else ()
+        return real(s)
+
+    monkeypatch.setattr(verify, "full_separability_fast", flipped)
+    [one] = verify.verify_wht([4], workers=1)
+    [two] = verify.verify_wht([4], workers=2)
+    first_bad = min(bad, key=fis.index)
+    assert one.status == verify.STATUS_FAIL
+    assert one.detail == f"disagreement at truth table {BooleanFunction(4, first_bad).bits()}"
+    assert two == one
+
+
+def test_short_verify_scans_run_in_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for a short scan")
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", no_pool)
+    res = CliRunner().invoke(cli.main, ["verify", "--n", "2..3", "--workers", "2"])
+    assert res.exit_code == 0, res.output
+    assert "0 failed" in res.stdout
