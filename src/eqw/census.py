@@ -494,23 +494,21 @@ def _grover_rows(
     return _report_rows(rows, qcounts is not None)
 
 
-def check_grover_caps(n: int, m: int, cap_states: int = GROVER_STATE_CAP) -> GroverCounts:
-    """Refuse an (n, M) scan of more than cap_states states, or one above the
-    qubit cap, before it starts; else return its closed-form counts."""
+def check_grover_caps(n: int, m: int) -> GroverCounts:
+    """Refuse an (n, M) scan of more than GROVER_STATE_CAP states, or one
+    above the qubit cap, before it starts; else return its closed-form counts."""
     gc = count_grover(n, m)
-    if gc.total > cap_states:
+    if gc.total > GROVER_STATE_CAP:
         raise ResourceCapError(
-            f"enumeration capped at {cap_states} states, B(2^{n}, {m}) = {gc.total}"
+            f"enumeration capped at {GROVER_STATE_CAP} states, B(2^{n}, {m}) = {gc.total}"
         )
     check_factor_cap(n)
     return gc
 
 
-def enumerate_grover(
-    n: int, m: int, workers: int = 1, cap_states: int = GROVER_STATE_CAP
-) -> CensusReport:
+def enumerate_grover(n: int, m: int, workers: int = 1) -> CensusReport:
     """Classify every placement of M minus signs among the 2^n amplitudes."""
-    gc = check_grover_caps(n, m, cap_states)
+    gc = check_grover_caps(n, m)
     qcounts = [0] * (n + 1)
     for sizes, count in _placement_histogram(n, m, workers).items():
         qcounts[len(sizes)] += count

@@ -38,10 +38,10 @@ from .oracles import (
 from .rng import SplitMix64
 from .separability import FACTOR_CAP, check_factor_cap, classify
 from .states import (
+    BooleanFunction,
     LinearForm,
     StateVector,
     bv_function,
-    make_function,
     parse_function,
     require_qubit_count,
     state_from_function,
@@ -187,10 +187,7 @@ def _grover_function(n: int, m: int | None, solutions: str | None, seed: int, ca
         pool = list(range(size))
         SplitMix64(seed).shuffle(pool)
         marked = sorted(pool[:m])
-    table = [0] * size
-    for x in marked:
-        table[x] = 1
-    return make_function(n, table), marked
+    return BooleanFunction(n, sum(1 << x for x in marked)), marked
 
 
 @main.command("simulate")

@@ -8,32 +8,27 @@ with the direct constructions is a real check, not a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ResourceCapError, TargetEntanglementError
 from .rng import SplitMix64
-from .separability import Bipartition, hadamard_all, try_factor
-from .states import BooleanFunction, StateVector
+from .states import BooleanFunction, StateVector, hadamard_all
 
 GLOBAL_STATE_CAP = 8
 
 
 def _split_register_target(state: StateVector) -> tuple[StateVector, StateVector]:
-    """Factor an (n+1)-qubit post-oracle state into register and target parts.
+    """Split an (n+1)-qubit post-oracle state into register and target parts.
 
-    Raises TargetEntanglementError if the last qubit does not factor out as
-    exactly the (+1, -1) pair. Unreachable from the pipeline below, which is
-    itself something the tests confirm both ways.
+    The state is register (x) (+1, -1) exactly when every odd entry is minus
+    the even entry before it; the even entries are then the register.
+    Raises TargetEntanglementError otherwise. Unreachable from the pipeline
+    below, which is itself something the tests confirm both ways.
     """
-    m = state.m
-    res = try_factor(state, Bipartition(m, (m,)))
-    if res is None:
-        raise TargetEntanglementError("target qubit is entangled with the register")
-    target, register = res
-    if target.amps != (1, -1):
-        raise TargetEntanglementError(
-            f"target qubit factored out as {target.amps}, expected (1, -1)"
-        )
-    return register, target
+    register = state.amps[::2]
+    if state.amps[1::2] != tuple(-a for a in register):
+        raise TargetEntanglementError("target qubit is not in the (+1, -1) state")
+    return StateVector(state.m - 1, register), StateVector(1, (1, -1))
 
 
 def dj_oracle_pipeline(f: BooleanFunction) -> tuple[StateVector, StateVector]:
@@ -105,15 +100,6 @@ class SimonInstance:
             if prev != x and prev != (x ^ self.r):
                 raise ValueError(f"output {out} is shared beyond its period coset")
 
-    def coset_representatives(self) -> tuple[int, ...]:
-        """Minimum element of each {x, x xor r} coset, ascending."""
-        return tuple(x for x in range(1 << self.n) if x < x ^ self.r)
-
-    def coset_representative(self, k: int) -> int:
-        """``coset_representatives()[k]``: k with a 0 bit inserted at r's top bit."""
-        low = (1 << (self.r.bit_length() - 1)) - 1
-        return (k & ~low) << 1 | (k & low)
-
     def r_bits(self) -> str:
         return format(self.r, f"0{self.n}b")
 
@@ -152,6 +138,21 @@ class MeasurementOutcome:
         return format(self.observed, f"0{self.n}b")
 
 
+def coset_representative(r: int, k: int) -> int:
+    """The k-th smallest of the coset minima min(x, x xor r): k with a 0 bit
+    inserted at r's top bit."""
+    low = (1 << (r.bit_length() - 1)) - 1
+    return (k & ~low) << 1 | (k & low)
+
+
+def _indicator_state(m: int, support: Iterable[int]) -> StateVector:
+    """The m-qubit state with amplitude 1 on support and 0 elsewhere."""
+    amps = [0] * (1 << m)
+    for x in support:
+        amps[x] = 1
+    return StateVector(m, tuple(amps))
+
+
 def parse_period(n: int, r: int | str) -> int:
     """A nonzero n-bit period, given as a bit string or an int, as an int."""
     if n < 2:
@@ -179,9 +180,9 @@ def make_simon_instance(n: int, r: int | str, seed: int) -> SimonInstance:
     labels = list(range(size))
     SplitMix64(seed).shuffle(labels)
     table = [0] * size
-    reps = [x for x in range(size) if x < x ^ rv]
-    for i, rep in enumerate(reps):
-        table[rep] = table[rep ^ rv] = labels[i]
+    for k in range(size >> 1):
+        rep = coset_representative(rv, k)
+        table[rep] = table[rep ^ rv] = labels[k]
     return SimonInstance(n, rv, tuple(table))
 
 
@@ -196,10 +197,7 @@ def simon_global_state(inst: SimonInstance) -> StateVector:
         raise ResourceCapError(
             f"global two-register state capped at n = {GLOBAL_STATE_CAP}, got {n}"
         )
-    amps = [0] * (1 << (2 * n))
-    for x, out in enumerate(inst.table):
-        amps[(x << n) | out] = 1
-    return StateVector(2 * n, tuple(amps))
+    return _indicator_state(2 * n, ((x << n) | out for x, out in enumerate(inst.table)))
 
 
 def simon_measure(inst: SimonInstance, seed: int) -> MeasurementOutcome:
@@ -208,17 +206,11 @@ def simon_measure(inst: SimonInstance, seed: int) -> MeasurementOutcome:
     Draws one of the 2^(n-1) output values uniformly (splitmix64, rejection
     sampled) and returns it with the two-term state on {xbar, xbar xor r}.
     """
-    xbar = inst.coset_representative(SplitMix64(seed).below(1 << (inst.n - 1)))
-    amps = [0] * (1 << inst.n)
-    amps[xbar] = 1
-    amps[xbar ^ inst.r] = 1
-    return MeasurementOutcome(inst.n, inst.table[xbar], StateVector(inst.n, tuple(amps)))
+    xbar = coset_representative(inst.r, SplitMix64(seed).below(1 << (inst.n - 1)))
+    return MeasurementOutcome(inst.n, inst.table[xbar],
+                              _indicator_state(inst.n, (xbar, xbar ^ inst.r)))
 
 
 def simon_canonical_state(n: int, r: int | str) -> StateVector:
     """Two-term state |0...0> + |r>, the xbar = 0 representative of a collapse."""
-    rv = parse_period(n, r)
-    amps = [0] * (1 << n)
-    amps[0] = 1
-    amps[rv] = 1
-    return StateVector(n, tuple(amps))
+    return _indicator_state(n, (0, parse_period(n, r)))

@@ -14,7 +14,7 @@ from itertools import chain, combinations, compress
 from typing import Iterable, Optional
 
 from .errors import ResourceCapError
-from .states import LinearForm, StateVector, bv_function
+from .states import LinearForm, StateVector, bv_function, hadamard_all
 
 FACTOR_CAP = 12
 
@@ -183,6 +183,7 @@ def _cut_list(m: int) -> Iterable[Bipartition]:
         Bipartition(m, local)
         for t in range(1, m // 2 + 1)
         for local in combinations(range(1, m + 1), t)
+        if 2 * t < m or local[0] == 1
     )
 
 
@@ -192,10 +193,12 @@ def _cached_cuts(m: int) -> tuple[Bipartition, ...]:
 
 
 def _cuts(m: int) -> Iterable[Bipartition]:
-    """Every cut of m qubits with subset size 1..m//2, by size, then lexicographic.
+    """Every bipartition of m qubits once, by subset size 1..m//2, then
+    lexicographic; a half-size cut is given by the side holding qubit 1,
+    which is the side that comes first.
 
-    Kept for m <= FACTOR_CAP only (2,509 cuts at m = 12); above the cap
-    there are too many to hold (616k at m = 20), so they are built as used.
+    Kept for m <= FACTOR_CAP only (2,047 cuts at m = 12); above the cap
+    there are too many to hold (524k at m = 20), so they are built as used.
     """
     return _cached_cuts(m) if m <= FACTOR_CAP else _cut_list(m)
 
@@ -322,26 +325,6 @@ def sign_block_sizes(n: int, table: int) -> tuple[int, ...]:
                 if merged >> d & 1:
                     block[d] = merged
     return tuple(sorted(blk.bit_count() for blk in set(block)))
-
-
-def hadamard_all(a: list[int], skip: int = 0) -> list[int]:
-    """Unnormalized Hadamard on every qubit of a but the last ``skip``, in place.
-
-    The butterfly maps each pair (a[j], a[j + h]) to (a[j] + a[j + h],
-    a[j] - a[j + h]) for every index bit h from bit ``skip`` up, so the
-    ``skip`` least significant bits, the last qubits, are left alone.
-    O(n 2^n) integer additions; returns a.
-    """
-    h = 1 << skip
-    size = len(a)
-    while h < size:
-        for start in range(0, size, h * 2):
-            for j in range(start, start + h):
-                x, y = a[j], a[j + h]
-                a[j] = x + y
-                a[j + h] = x - y
-        h *= 2
-    return a
 
 
 def wht(s: StateVector) -> list[int]:

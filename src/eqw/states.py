@@ -216,3 +216,23 @@ def tensor_all(factors: Iterable[StateVector]) -> StateVector:
     for f in factors[1:]:
         acc = tensor(acc, f)
     return acc
+
+
+def hadamard_all(a: list[int], skip: int = 0) -> list[int]:
+    """Unnormalized Hadamard on every qubit of a but the last ``skip``, in place.
+
+    The butterfly maps each pair (a[j], a[j + h]) to (a[j] + a[j + h],
+    a[j] - a[j + h]) for every index bit h from bit ``skip`` up, so the
+    ``skip`` least significant bits, the last qubits, are left alone.
+    O(n 2^n) integer additions; returns a.
+    """
+    h = 1 << skip
+    size = len(a)
+    while h < size:
+        for start in range(0, size, h * 2):
+            for j in range(start, start + h):
+                x, y = a[j], a[j + h]
+                a[j] = x + y
+                a[j + h] = x - y
+        h *= 2
+    return a

@@ -54,6 +54,8 @@ _SAMPLE_SEED = 0x5EED
 # 650 us (Simon classes at n = 12), so a shard this long is at least about
 # as much work as the pool costs, and a scan no longer runs in process.
 MIN_SHARD_CANDIDATES = 2_048
+# The measurement seeds under which each period's collapse keeps its class.
+COLLAPSE_SEEDS = (0, 1, 2, 7, 11)
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -349,8 +351,7 @@ def verify_grover(ns: list[int], workers: int = 1) -> list[Check]:
     return checks
 
 
-def verify_simon(ns: list[int], workers: int = 1,
-                 seeds: tuple[int, ...] = (0, 1, 2, 7, 11)) -> list[Check]:
+def verify_simon(ns: list[int], workers: int = 1) -> list[Check]:
     """Collapsed-state classes per period weight, seed invariance, register rank."""
     checks = []
     for n in ns:
@@ -358,7 +359,8 @@ def verify_simon(ns: list[int], workers: int = 1,
             continue
         checks += census_checks("simon", enumerate_simon(n), f"census n={n}")
         checks.append(_sharded(partial(check_simon_classes, n), range(1, 1 << n), workers))
-        checks.append(check_seed_invariance(n, sorted({1, 0b11, (1 << n) - 1}), 1234, seeds))
+        checks.append(check_seed_invariance(n, sorted({1, 0b11, (1 << n) - 1}), 1234,
+                                        COLLAPSE_SEEDS))
         if n <= 4:
             checks.append(check_register_rank(n, 99))
     return checks
@@ -374,14 +376,14 @@ SUITES = {
 
 
 def _refuse_over_cap(names: list[str], ns: list[int]) -> None:
-    """Raise the first cap error the suites would hit, in the order they
-    would hit it, before any of them runs."""
-    for name in names:
-        for n in ns:
+    """Before any suite runs, raise the cap error of the smallest n of the
+    range that a chosen suite refuses, the suites taken in run order."""
+    for n in ns:
+        for name in names:
             if name == "grover":
                 for m in _grover_ms(n):
                     check_grover_caps(n, m)
-            elif name in ("simon", "wht"):
+            elif name in ("dj", "simon", "wht"):
                 check_factor_cap(n)
 
 

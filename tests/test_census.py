@@ -386,9 +386,15 @@ def test_short_scans_run_in_process(monkeypatch):
     assert enumerate_grover(4, 4, workers=8) == enumerate_grover(4, 4, workers=1)
 
 
-def test_enumerate_grover_cap():
-    with pytest.raises(ResourceCapError):
-        enumerate_grover(5, 4, cap_states=10_000)
+def test_enumerate_grover_cap(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan started above the state cap")
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", no_scan)
+    monkeypatch.setattr(census, "_scan_placements", no_scan)
+    with pytest.raises(ResourceCapError,
+                       match=re.escape("capped at 10000000 states, B(2^7, 4) = 10668000")):
+        enumerate_grover(7, 4)
 
 
 def test_scans_above_the_factor_cap_are_refused_before_they_start(monkeypatch):

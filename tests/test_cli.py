@@ -197,7 +197,7 @@ def test_over_cap_runs_exit_3_before_building_a_state(runner, monkeypatch, args)
         raise RuntimeError("a state was built for a run over the cap")
 
     for name in ("state_from_function", "bv_function", "simon_canonical_state",
-                 "make_function", "prepare_dj_state", "make_simon_instance", "SplitMix64"):
+                 "BooleanFunction", "prepare_dj_state", "make_simon_instance", "SplitMix64"):
         monkeypatch.setattr(cli, name, refuse)
     res = runner.invoke(main, args)
     n = args[args.index("--n") + 1]
@@ -336,6 +336,8 @@ def test_workers_below_one_exit_2(runner, monkeypatch, args, workers):
      "enumeration capped at 10000000 states, B(2^7, 4) = 10668000"),
     (["--suite", "grover", "--n", "13"],
      "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
+    (["--suite", "dj", "--n", "13"],
+     "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
     (["--suite", "wht", "--n", "2..13"],
      "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
     (["--suite", "simon", "--n", "2..13"],
@@ -348,6 +350,7 @@ def test_verify_over_cap_ranges_exit_3_before_any_suite_runs(runner, monkeypatch
     monkeypatch.setattr(census, "_placement_histogram", refuse)
     monkeypatch.setattr(census, "finest_factorization", refuse)
     monkeypatch.setattr(verify, "classify", refuse)
+    monkeypatch.setattr(verify, "dj_oracle_pipeline", refuse)
     res = runner.invoke(main, ["verify", *args])
     assert res.exit_code == 3
     assert res.stdout == ""

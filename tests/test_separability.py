@@ -369,11 +369,14 @@ def test_try_factor_support_and_hint_never_change_the_answer():
 
 def test_cuts_run_by_size_then_lexicographically_and_are_kept_only_up_to_the_cap():
     for m in range(2, 9):
-        expected = [c for t in range(1, m // 2 + 1) for c in combinations(range(1, m + 1), t)]
+        # a half-size cut appears once, as the side holding qubit 1
+        expected = [c for t in range(1, m // 2 + 1) for c in combinations(range(1, m + 1), t)
+                    if 2 * t < m or 1 in c]
         assert [p.subset for p in _cuts(m)] == expected
+        assert len(expected) == (1 << (m - 1)) - 1
         assert all(p.rmask == sum(1 << (m - q) for q in p.subset) for p in _cuts(m))
     assert _cuts(FACTOR_CAP) is _cuts(FACTOR_CAP)
-    # 8,191 cuts at 13 qubits and 616k at 20 are built as they are used
+    # 4,095 cuts at 13 qubits and 524k at 20 are built as they are used
     assert _cuts(FACTOR_CAP + 1) is not _cuts(FACTOR_CAP + 1)
 
 

@@ -50,6 +50,42 @@ def test_sweep_keeps_the_names_the_benchmark_reads():
     assert callable(separability._index_maps.cache_info)
 
 
+def test_oracles_prepare_states_without_the_factorization_engine():
+    # the preparation layer checks its target qubit by its own identity, so
+    # what it prints does not hang on the sweep's factor-sign convention
+    path = Path(eqw.__file__).parent / "oracles.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {f"{module}.{a.name}" if module in (".", "eqw") else module
+                         for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    package = {m.removeprefix("eqw").lstrip(".") for m in imported if m.startswith((".", "eqw"))}
+    assert package <= {"errors", "rng", "states"}
+
+
+def test_only_the_sweep_calls_try_factor():
+    # one caller keeps the benchmark's separability.try_factor_calls a count
+    # of the sweep's rank-1 tests alone
+    def calls_try_factor(node) -> bool:
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "try_factor"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "try_factor"
+        )
+
+    calls = []
+    for path in sorted(Path(eqw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if calls_try_factor(node)]
+    sweep = next(
+        node for node in ast.parse(Path(separability.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_split_blocks"
+    )
+    inside = [f"separability.py:{node.lineno}" for node in ast.walk(sweep) if calls_try_factor(node)]
+    assert inside and calls == inside
+
 
 def test_one_function_starts_process_pools():
     # every scan shards through census.pool_map, so the pool's start-up rule
