@@ -11,6 +11,7 @@ import math
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice
 from typing import Optional
 
@@ -24,12 +25,23 @@ GROVER_STATE_CAP = 10_000_000
 # Placements one scan may walk: above DJ n = 5 (601,080,390), which --max-n 5
 # allows, and far below DJ n = 6 (1.8e18), which would run for centuries.
 PLACEMENT_CAP = 10**9
-# At most one pool shard per this many placements, rounded up, so a scan no
-# longer than this runs in process. On a 2-core host a two-shard pool took
-# 64 ms against 54 ms in process for DJ n = 4 (12,870 placements) and 179 ms
-# against 193 ms for Grover (5, 4) (35,960). The value is only a bound inside
-# that bracket; the crossover itself was not measured.
+# Reports print counts in decimal, and Python by default refuses an int of
+# more than 4,300 digits; a census with a longer count is refused before it
+# is built, whatever the interpreter allows. 2^(_PRINT_BITS - 1) < 10^4300 < 2^_PRINT_BITS.
+COUNT_DIGITS_CAP = 4_300
+_PRINT_BITS = (10**COUNT_DIGITS_CAP).bit_length()
+# pool_map takes at most one shard per this many placements, rounded up, so
+# a scan no longer than this runs in process. On a 2-core host a two-shard
+# pool took 64 ms against 54 ms in process for DJ n = 4 (12,870 placements)
+# and 179 ms against 193 ms for Grover (5, 4) (35,960). The value is only a
+# bound inside that bracket; the crossover itself was not measured.
 MIN_SHARD_PLACEMENTS = 16_384
+# The same for candidates: verify's scans and the Simon periods. On a 2-core
+# host a two-worker pool took 6-19 ms to start and stop, while one candidate
+# cost 7 us (lemma decomposition), 28 us (spectral), 40 us (pipeline) and
+# 650 us (Simon classes at n = 12), so a shard this long is at least about
+# as much work as the pool costs.
+MIN_SHARD_CANDIDATES = 2_048
 
 RELATION_EQUAL = "equal"
 RELATION_UPPER = "formula-upper-bound"
@@ -44,6 +56,21 @@ def binom(a: int, b: int) -> int:
     if a < 0 or b < 0 or b > a:
         raise ValueError(f"binomial requires 0 <= b <= a, got ({a}, {b})")
     return math.comb(a, b)
+
+
+def _refuse_long_counts(n: int, m: Optional[int] = None) -> None:
+    """Refuse counts at n >= 2 whose longest, B(2^n, m) with 0 < m < 2^n or
+    the balanced count for m = None, has more than COUNT_DIGITS_CAP digits.
+    With k = min(m, 2^n - m) it is at least 2^n, (2^n // k)^k and 4^k / 2k,
+    and below 2^(2^n) and (4 2^n / k)^k, so it is built only near the cap."""
+    if n < _PRINT_BITS:
+        size = 1 << n
+        k = size >> 1 if m is None else min(m, size - m)
+        q = (size // k).bit_length()
+        if max(k * (q - 1), 2 * k - (2 * k).bit_length()) < _PRINT_BITS and (
+                min(k * (q + 2), size) < _PRINT_BITS or binom(size, k) < 10**COUNT_DIGITS_CAP):
+            return
+    raise ResourceCapError(f"census counts capped at {COUNT_DIGITS_CAP} digits, longer at n = {n}")
 
 
 def count_balanced(n: int) -> int:
@@ -199,8 +226,9 @@ def count_grover(n: int, m: int) -> GroverCounts:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not 0 < m < (1 << n):
+    if m < 1 or m.bit_length() > n:
         raise ValueError(f"need 0 < M < 2^n, got M={m}, n={n}")
+    _refuse_long_counts(n, m)
     total = binom(1 << n, m)
     bisep = n * binom(1 << (n - 1), m // 2) if m % 2 == 0 else 0
     jsep = None
@@ -231,6 +259,7 @@ def count_simon(n: int) -> SimonCensus:
     """B(n, k) periods of weight k, each collapsing to a class with q = n-k+1."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    _refuse_long_counts(n, 1)  # 2^n - 1 is too long exactly when B(2^n, 1) = 2^n is
     rows = tuple(SimonWeightClass(k, binom(n, k), n - k + 1) for k in range(1, n + 1))
     return SimonCensus(n, rows, n // 2)
 
@@ -290,56 +319,49 @@ class CensusReport:
         return [msg for msg in (r.check() for r in self.rows) if msg]
 
 
-def shard_bounds(total: int, workers: int, min_shard: int) -> list[tuple[int, int]]:
-    """Contiguous [lo, hi) ranges that cover range(total) in order: one per
-    worker, but at most one per min_shard items, rounded up, and at least one."""
-    shards = max(1, min(workers, -(-total // min_shard)))
-    step, extra = divmod(total, shards)
-    cuts = [i * step + min(i, extra) for i in range(shards + 1)]
-    return list(zip(cuts, cuts[1:]))
-
-
-def pool_map(fn, jobs: list) -> list:
-    """[fn(job) for job in jobs], one worker process per job; a single job
-    runs in process.
+def pool_map(fn, items, workers: int, min_shard: int) -> list:
+    """[fn(shard) for shard in shards], in order, over contiguous shards that
+    cover the sliceable items: one shard per worker, but at most one per
+    min_shard items, rounded up, and at least one. A lone shard runs in
+    process.
 
     This is the package's one process pool. Its workers are daemonic and
     cannot start pools of their own, so no job may call ``enumerate_*``.
     """
-    if len(jobs) <= 1:
-        return list(map(fn, jobs))
-    with multiprocessing.Pool(processes=len(jobs)) as pool:
-        return pool.map(fn, jobs)
+    shards = max(1, min(workers, -(-len(items) // min_shard)))
+    if shards == 1:
+        return [fn(items)]
+    cuts = [len(items) * i // shards for i in range(shards + 1)]
+    with multiprocessing.Pool(processes=shards) as pool:
+        return pool.map(fn, [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
 
 
-def placements(n: int, m: int, lo: int = 0, hi: Optional[int] = None):
+def placements(n: int, m: int, ranks: range):
     """Packed truth tables, bit x set at each minus sign, of every placement
     of m minus signs among the 2^n amplitudes with combination rank in
-    [lo, hi), in rank order."""
+    ranks, a range of step 1, in rank order."""
     return (
         sum(1 << x for x in minus)
-        for minus in islice(combinations(range(1 << n), m), lo, hi)
+        for minus in islice(combinations(range(1 << n), m), ranks.start, ranks.stop)
     )
 
 
-def _scan_placements(args: tuple[int, int, int, int]) -> Counter:
+def _scan_placements(n: int, m: int, ranks: range) -> Counter:
     """Histogram of finest block sizes over one rank shard of placements.
 
     Each placement's table goes to the ANF kernel ``sign_block_sizes``; no
     state is built and no rank-1 test runs.
     """
-    n, m, lo, hi = args
-    return Counter(sign_block_sizes(n, table) for table in placements(n, m, lo, hi))
+    return Counter(sign_block_sizes(n, table) for table in placements(n, m, ranks))
 
 
 def _placement_histogram(n: int, m: int, workers: int) -> Counter:
     """Block-size histogram over every placement of m minus signs.
 
     Sharded by contiguous combination-rank ranges with an additive merge, so
-    the result does not depend on the worker count. The scan takes at most
-    one shard per MIN_SHARD_PLACEMENTS placements, and one shard runs in
-    process. States above FACTOR_CAP qubits, and scans of more than
-    PLACEMENT_CAP placements, are refused before any scan.
+    the result does not depend on the worker count. States above FACTOR_CAP
+    qubits, and scans of more than PLACEMENT_CAP placements, are refused
+    before any scan.
     """
     check_factor_cap(n)
     total = binom(1 << n, m)
@@ -347,8 +369,8 @@ def _placement_histogram(n: int, m: int, workers: int) -> Counter:
         raise ResourceCapError(
             f"placement scan capped at {PLACEMENT_CAP} placements, B(2^{n}, {m}) = {total}"
         )
-    jobs = [(n, m, lo, hi) for lo, hi in shard_bounds(total, workers, MIN_SHARD_PLACEMENTS)]
-    return sum(pool_map(_scan_placements, jobs), Counter())
+    return sum(pool_map(partial(_scan_placements, n, m), range(total), workers,
+                        MIN_SHARD_PLACEMENTS), Counter())
 
 
 def _report_rows(rows: list[tuple], enumerated: bool) -> tuple[CensusRow, ...]:
@@ -382,6 +404,7 @@ def _dj_rows(n: int, sizes: Optional[Counter]) -> tuple[CensusRow, ...]:
     closed forms only when sizes is None."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    _refuse_long_counts(n)
 
     def count(keep) -> int:
         return sum(c for s, c in (sizes or Counter()).items() if keep(s))
@@ -541,15 +564,21 @@ def _simon_rows(sc: SimonCensus, classes: Optional[Counter]) -> tuple[CensusRow,
     return _report_rows(rows, classes is not None)
 
 
-def enumerate_simon(n: int, cap: int = FACTOR_CAP) -> CensusReport:
+def _simon_classes(n: int, cap: int, periods: range) -> Counter:
+    """(period weight, collapsed q) histogram over one shard of periods."""
+    return Counter(
+        (r.bit_count(), finest_factorization(simon_canonical_state(n, r), cap=cap).q)
+        for r in periods
+    )
+
+
+def enumerate_simon(n: int, workers: int = 1, cap: int = FACTOR_CAP) -> CensusReport:
     """Classify the collapsed state of every nonzero period on n qubits."""
     sc = count_simon(n)
     check_factor_cap(n, cap)
-    classes = Counter(
-        (r.bit_count(), finest_factorization(simon_canonical_state(n, r), cap=cap).q)
-        for r in range(1, 1 << n)
-    )
-    return CensusReport("simon", n, _simon_rows(sc, classes))
+    shards = pool_map(partial(_simon_classes, n, cap), range(1, 1 << n), workers,
+                      MIN_SHARD_CANDIDATES)
+    return CensusReport("simon", n, _simon_rows(sc, sum(shards, Counter())))
 
 
 def simon_formula_report(n: int) -> CensusReport:

@@ -153,7 +153,8 @@ def classify_cmd(n, truth_table, simon_r, bv_a, fmt, max_n):
         state = simon_canonical_state(n, period)
     else:
         if bv_a is not None:
-            f = bv_function(LinearForm(n, tuple(int(c) for c in bv_a)))
+            require_qubit_count(n)  # an empty --bv-a passes the bit-string check at n = 0
+            f = bv_function(LinearForm(n, int(bv_a, 2)))
         state = state_from_function(f)
     payload = classify(state, cap=cap).to_dict()
     rows = [
@@ -278,7 +279,7 @@ def census_cmd(algorithm, n, m, exhaustive, workers, fmt, max_n):
             else grover_formula_report(n, m)
     else:
         cap = _effective_cap(FACTOR_CAP, max_n)
-        report = enumerate_simon(n, cap=cap) if exhaustive else simon_formula_report(n)
+        report = enumerate_simon(n, workers, cap) if exhaustive else simon_formula_report(n)
     payload = report.to_dict()
     rows = [[row["class"], row["formula"] or "", row["oracle"] or "", row["relation"]]
             for row in payload["rows"]]
@@ -309,7 +310,7 @@ def verify_cmd(suite, n_range, workers, fmt):
         raise ValueError(f"--n must look like '3' or '2..4', got {n_range!r}") from None
     if lo < 2 or hi < lo:
         raise ValueError(f"--n range must satisfy 2 <= lo <= hi, got {n_range!r}")
-    checks = run_verify(suite, list(range(lo, hi + 1)), workers=workers)
+    checks = run_verify(suite, range(lo, hi + 1), workers=workers)
     failed = [c for c in checks if c.status == STATUS_FAIL]
     payload = {
         "suite": suite,

@@ -90,29 +90,17 @@ class StateVector:
 
 @dataclass(frozen=True)
 class LinearForm:
-    """An n-bit string a defining the parity function x -> a.x; a = 0 is constant."""
+    """Parity function x -> a.x of an n-bit string a, held as an int, bit 1 most significant."""
 
     n: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        require_qubit_count(self.n)
-        if len(self.bits) != self.n:
-            raise ValueError(f"expected {self.n} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    @property
-    def value(self) -> int:
-        """Integer encoding under the shared bit convention (bit 1 most significant)."""
-        return int("".join(map(str, self.bits)), 2)
+    value: int
 
     @classmethod
     def from_value(cls, n: int, value: int) -> "LinearForm":
         require_qubit_count(n)
         if not 0 <= value < (1 << n):
             raise ValueError(f"value {value} out of range for {n} bits")
-        return cls(n, tuple((value >> (n - i)) & 1 for i in range(1, n + 1)))
+        return cls(n, value)
 
 
 def make_function(n: int, table: Sequence[int] | str) -> BooleanFunction:

@@ -16,6 +16,8 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .census import (
+    DJ_FULL_CAP,
+    MIN_SHARD_CANDIDATES,
     RELATION_UPPER,
     check_grover_caps,
     count_balanced,
@@ -25,7 +27,6 @@ from .census import (
     enumerate_simon,
     placements,
     pool_map,
-    shard_bounds,
 )
 from .oracles import (
     dj_oracle_pipeline,
@@ -48,12 +49,6 @@ from .states import BooleanFunction, StateVector, state_from_function, tensor_al
 
 SAMPLE_BUDGET = 10_000
 _SAMPLE_SEED = 0x5EED
-# At most one pool shard per this many candidates, rounded up. On a 2-core
-# host a two-worker pool took 6-19 ms to start and stop, while one candidate
-# cost 7 us (lemma decomposition), 28 us (spectral), 40 us (pipeline) and
-# 650 us (Simon classes at n = 12), so a shard this long is at least about
-# as much work as the pool costs, and a scan no longer runs in process.
-MIN_SHARD_CANDIDATES = 2_048
 # The measurement seeds under which each period's collapse keeps its class.
 COLLAPSE_SEEDS = (0, 1, 2, 7, 11)
 
@@ -87,8 +82,7 @@ def _sharded(check: Callable[[Sequence], Check], candidates: Sequence, workers: 
     first PASS, is what one serial scan returns: the same first
     counterexample and the same detail text.
     """
-    bounds = shard_bounds(len(candidates), workers, MIN_SHARD_CANDIDATES)
-    results = pool_map(check, [candidates[lo:hi] for lo, hi in bounds])
+    results = pool_map(check, candidates, workers, MIN_SHARD_CANDIDATES)
     return next((c for c in results if c.status == STATUS_FAIL), results[0])
 
 
@@ -100,7 +94,7 @@ def function_sample(n: int, per_n: int, rng: SplitMix64, noun: str) -> tuple[Seq
     return [rng.below(1 << (1 << n)) for _ in range(per_n)], f"{per_n} seeded samples"
 
 
-def _per_n(ns: list[int]) -> int:
+def _per_n(ns: Sequence[int]) -> int:
     """SAMPLE_BUDGET shared out over the sampled (n > 3) sizes."""
     return max(1, SAMPLE_BUDGET // max(1, sum(n > 3 for n in ns)))
 
@@ -190,7 +184,7 @@ def check_lemma_decomposition(n: int, ranks: range | None = None) -> Check:
         )
 
     return _check("lemma", f"decomposition-direction n={n}",
-                  placements(n, 1 << (n - 1), ranks.start, ranks.stop),
+                  placements(n, 1 << (n - 1), ranks),
                   no_balanced_block,
                   lambda t: f"no balanced block for balanced table {BooleanFunction(n, t).bits()}",
                   "every splittable balanced sign vector has a balanced block")
@@ -285,7 +279,7 @@ def census_checks(suite: str, report, label: str) -> list[Check]:
     ]
 
 
-def verify_wht(ns: list[int], workers: int = 1) -> list[Check]:
+def verify_wht(ns: Sequence[int], workers: int = 1) -> list[Check]:
     """Spectral full-separability test against the factorization engine."""
     checks = []
     per_n = _per_n(ns)
@@ -298,7 +292,7 @@ def verify_wht(ns: list[int], workers: int = 1) -> list[Check]:
     return checks
 
 
-def verify_lemma(ns: list[int], workers: int = 1) -> list[Check]:
+def verify_lemma(ns: Sequence[int], workers: int = 1) -> list[Check]:
     """Balancedness of products vs factors, in both directions."""
     checks = []
     for n in ns:
@@ -314,18 +308,18 @@ def verify_lemma(ns: list[int], workers: int = 1) -> list[Check]:
     return checks
 
 
-def verify_dj(ns: list[int], workers: int = 1) -> list[Check]:
+def verify_dj(ns: Sequence[int], workers: int = 1) -> list[Check]:
     """Census relations, the two bound forms, and pipeline equivalence."""
     checks = []
     for n in ns:
         a, b = count_dj_bisep_upper(n)
         checks.append(_check("dj", f"bound-forms n={n}", [(a, b)], lambda ab: ab[0] != ab[1],
                              lambda ab: f"{ab[0]} != {ab[1]}", f"both forms give {a}"))
-        if n <= 4:
+        if n <= DJ_FULL_CAP:
             checks += census_checks("dj", enumerate_dj(n, workers=workers), f"census n={n}")
         else:
             checks.append(Check("dj", f"census n={n}", STATUS_INFO,
-                                "skipped: full enumeration is capped at n = 4"))
+                                f"skipped: full enumeration is capped at n = {DJ_FULL_CAP}"))
     per_n = _per_n(ns)
     for n in ns:
         rng = SplitMix64((_SAMPLE_SEED + 1) ^ n)
@@ -339,7 +333,7 @@ def _grover_ms(n: int) -> range:
     return range(1, min(4, (1 << n) - 1) + 1)
 
 
-def verify_grover(ns: list[int], workers: int = 1) -> list[Check]:
+def verify_grover(ns: Sequence[int], workers: int = 1) -> list[Check]:
     """Exhaustive per-q classification for every small solution count."""
     checks = []
     for n in ns:
@@ -351,13 +345,13 @@ def verify_grover(ns: list[int], workers: int = 1) -> list[Check]:
     return checks
 
 
-def verify_simon(ns: list[int], workers: int = 1) -> list[Check]:
+def verify_simon(ns: Sequence[int], workers: int = 1) -> list[Check]:
     """Collapsed-state classes per period weight, seed invariance, register rank."""
     checks = []
     for n in ns:
         if n < 2:
             continue
-        checks += census_checks("simon", enumerate_simon(n), f"census n={n}")
+        checks += census_checks("simon", enumerate_simon(n, workers), f"census n={n}")
         checks.append(_sharded(partial(check_simon_classes, n), range(1, 1 << n), workers))
         checks.append(check_seed_invariance(n, sorted({1, 0b11, (1 << n) - 1}), 1234,
                                         COLLAPSE_SEEDS))
@@ -375,19 +369,18 @@ SUITES = {
 }
 
 
-def _refuse_over_cap(names: list[str], ns: list[int]) -> None:
-    """Before any suite runs, raise the cap error of the smallest n of the
-    range that a chosen suite refuses, the suites taken in run order."""
+def _refuse_over_cap(names: list[str], ns: Sequence[int]) -> None:
+    """Before any suite runs, raise the cap error of the smallest refused n:
+    every suite's 12-qubit cap in run order, grover's state cap first."""
     for n in ns:
         for name in names:
             if name == "grover":
                 for m in _grover_ms(n):
                     check_grover_caps(n, m)
-            elif name in ("dj", "simon", "wht"):
-                check_factor_cap(n)
+            check_factor_cap(n)
 
 
-def run_verify(suite: str, ns: list[int], workers: int = 1) -> list[Check]:
+def run_verify(suite: str, ns: Sequence[int], workers: int = 1) -> list[Check]:
     names = list(SUITES) if suite == "all" else [suite]
     _refuse_over_cap(names, ns)
     return [check for name in names for check in SUITES[name](ns, workers=workers)]

@@ -384,6 +384,8 @@ def test_short_scans_run_in_process(monkeypatch):
     assert binom(16, 8) <= census.MIN_SHARD_PLACEMENTS
     assert enumerate_dj(4, workers=2) == enumerate_dj(4, workers=1)
     assert enumerate_grover(4, 4, workers=8) == enumerate_grover(4, 4, workers=1)
+    assert (1 << 9) - 1 <= census.MIN_SHARD_CANDIDATES
+    assert enumerate_simon(9, workers=8) == enumerate_simon(9, workers=1)
 
 
 def test_enumerate_grover_cap(monkeypatch):

@@ -3,6 +3,10 @@ import gc
 import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+import eqw
 import eqw.cli as cli
 from eqw import census, verify
 from eqw.cli import main
@@ -86,6 +91,9 @@ def test_classify_input_errors_exit_2(runner):
     assert res.exit_code == 2
     res = runner.invoke(main, ["classify", "--n", "2", "--unknown-flag", "x"])
     assert res.exit_code == 2
+    res = runner.invoke(main, ["classify", "--n", "0", "--bv-a", ""])
+    assert res.exit_code == 2
+    assert res.stderr == "error: qubit count must be a positive integer, got 0\n"
 
 
 def test_classify_cap_exit_3(runner):
@@ -278,6 +286,71 @@ def test_census_workers_byte_identical(runner):
     assert invoke(runner, *grover, "1").output == invoke(runner, *grover, "3").output
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_census_simon_stdout_does_not_depend_on_the_worker_count(runner, monkeypatch, fmt):
+    # 255 periods in shards of at least 64: 2 and 5 workers start pools of 2
+    # and 4 shards
+    monkeypatch.setattr(census, "MIN_SHARD_CANDIDATES", 64)
+    started, pool = [], census.multiprocessing.Pool
+
+    def counted_pool(processes):
+        started.append(processes)
+        return pool(processes=processes)
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", counted_pool)
+    outs = [invoke(runner, "census", "simon", "--n", "8", "--exhaustive", "--format", fmt,
+                   "--workers", workers).stdout_bytes for workers in ("1", "2", "5")]
+    assert outs[0] == outs[1] == outs[2]
+    assert started == [2, 4]
+
+
+@pytest.mark.parametrize("n, m", [
+    (13, None), (13, 4096), (14, 16000), (18, 262143), (20, 1285), (20, 1048575), (64, 8),
+])
+def test_closed_form_counts_under_the_digit_cap_print(runner, n, m):
+    # B(N, M) = B(N, N - M), so the count is short at M near N as at M near 0;
+    # B(2^20, 1285) is the longest Grover total at n = 20 under 4,301 digits
+    args = ["census", "dj", "--n", str(n)] if m is None else \
+        ["census", "grover", "--n", str(n), "--m", str(m)]
+    data = json.loads(invoke(runner, *args).output)
+    assert data["rows"][0]["formula"] == str(math.comb(1 << n, m or 1 << (n - 1)))
+
+
+@pytest.mark.parametrize("args", [
+    ["census", "dj", "--n", "14"],
+    ["census", "dj", "--n", "22"],
+    ["census", "grover", "--n", "14", "--m", "8192"],
+    ["census", "grover", "--n", "20", "--m", "1286"],
+    ["census", "grover", "--n", "20", "--m", str((1 << 20) - 1286)],
+    ["census", "grover", "--n", "24", "--m", "8388608"],
+    ["census", "grover", "--n", "14", "--m", "8192", "--exhaustive"],
+    ["census", "simon", "--n", "14285"],
+], ids=" ".join)
+def test_closed_form_counts_over_the_digit_cap_exit_3_before_they_are_built(
+        runner, monkeypatch, args):
+    # bounds refuse all but the two Grover totals at M = 1286 from either
+    # end, which are built, 14,285 bits long, only to compare with 10^4300
+    def refuse(*_args, **_kwargs):
+        raise RuntimeError("a count was built over the digit cap")
+
+    near_the_cap = args[-1] in ("1286", str((1 << 20) - 1286))
+    for name in ("count_balanced", "count_dj_bisep_upper", "GroverCounts", "SimonWeightClass",
+                 *(() if near_the_cap else ("binom",))):
+        monkeypatch.setattr(census, name, refuse)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stderr == f"error: census counts capped at 4300 digits, longer at n = {args[3]}\n"
+
+
+def test_the_digit_cap_holds_without_the_interpreter_limit():
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0",
+           "PYTHONPATH": str(Path(eqw.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-m", "eqw.cli", "census", "dj", "--n", "22"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 3
+    assert res.stderr == "error: census counts capped at 4300 digits, longer at n = 22\n"
+
+
 def test_census_caps_exit_3(runner):
     res = runner.invoke(main, ["census", "dj", "--n", "5", "--exhaustive"])
     assert res.exit_code == 3
@@ -341,6 +414,10 @@ def test_workers_below_one_exit_2(runner, monkeypatch, args, workers):
     (["--suite", "wht", "--n", "2..13"],
      "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
     (["--suite", "simon", "--n", "2..13"],
+     "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
+    (["--suite", "lemma", "--n", "13"],
+     "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
+    (["--suite", "lemma", "--n", "5..10000000000"],
      "factorization capped at 12 qubits (state has 13); raise the cap to proceed"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_verify_over_cap_ranges_exit_3_before_any_suite_runs(runner, monkeypatch, args, message):

@@ -113,7 +113,7 @@ def test_finest_factorization_examples():
 
 
 def test_classify_examples():
-    rep = classify(state_from_function(bv_function(LinearForm(3, (1, 1, 1)))))
+    rep = classify(state_from_function(bv_function(LinearForm(3, 0b111))))
     assert rep.q == 3 and rep.label == "fully-separable"
     rep = classify(state_from_function(make_function(3, "00000001")))
     assert rep.q == 1 and rep.label == "genuinely-multipartite-entangled"
@@ -191,9 +191,9 @@ def test_parseval_exhaustive():
 
 
 def test_full_separability_fast_examples():
-    s = state_from_function(bv_function(LinearForm(3, (1, 0, 1))))
-    assert full_separability_fast(s) == (LinearForm(3, (1, 0, 1)), 1)
-    assert full_separability_fast(s.negate()) == (LinearForm(3, (1, 0, 1)), -1)
+    s = state_from_function(bv_function(LinearForm(3, 0b101)))
+    assert full_separability_fast(s) == (LinearForm(3, 0b101), 1)
+    assert full_separability_fast(s.negate()) == (LinearForm(3, 0b101), -1)
     assert full_separability_fast(state_from_function(make_function(2, "0001"))) is None
 
 

@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import eqw
-from eqw import separability
+from eqw import census, separability
 
 
 def test_library_has_no_assert_statements():
@@ -88,8 +88,9 @@ def test_only_the_sweep_calls_try_factor():
 
 
 def test_one_function_starts_process_pools():
-    # every scan shards through census.pool_map, so the pool's start-up rule
-    # (one job runs in process) and its daemonic workers live in one place
+    # every scan shards through census.pool_map, so how a scan is cut, when
+    # it pools (a lone shard runs in process) and its daemonic workers live
+    # in one place
     def starts_pool(node) -> bool:
         return isinstance(node, ast.Call) and (
             isinstance(node.func, ast.Attribute) and node.func.attr == "Pool"
@@ -107,3 +108,9 @@ def test_one_function_starts_process_pools():
     pool_map = functions["census.py:pool_map"]
     inside = [f"census.py:{node.lineno}" for node in ast.walk(pool_map) if starts_pool(node)]
     assert len(calls) == 1 and calls == inside
+    assert not hasattr(census, "shard_bounds")
+    for scan in ("census.py:_placement_histogram", "census.py:enumerate_simon",
+                 "verify.py:_sharded"):
+        called = {node.func.id for node in ast.walk(functions[scan])
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "pool_map" in called, scan

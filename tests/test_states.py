@@ -54,9 +54,9 @@ def test_parse_function_hex():
 
 
 def test_bv_function_values():
-    assert bv_function(LinearForm(2, (0, 0))).bits() == "0000"
-    assert bv_function(LinearForm(2, (1, 0))).bits() == "0011"
-    assert bv_function(LinearForm(2, (1, 1))).bits() == "0110"
+    assert bv_function(LinearForm(2, 0b00)).bits() == "0000"
+    assert bv_function(LinearForm(2, 0b10)).bits() == "0011"
+    assert bv_function(LinearForm(2, 0b11)).bits() == "0110"
 
 
 def test_linear_form_value_roundtrip():

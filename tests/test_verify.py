@@ -2,7 +2,6 @@ import pytest
 from click.testing import CliRunner
 
 from eqw import census, cli, verify
-from eqw.census import shard_bounds
 from eqw.rng import SplitMix64
 from eqw.separability import wht
 from eqw.states import BooleanFunction, StateVector, state_from_function
@@ -63,11 +62,11 @@ def test_a_sharded_scan_reports_the_serial_counterexample(monkeypatch, bad_in_fi
     # forked workers carry the patch
     fis, _ = verify.function_sample(4, verify.SAMPLE_BUDGET, SplitMix64(verify._SAMPLE_SEED ^ 4),
                                     "sign vectors")
-    (lo, mid), (_, hi) = shard_bounds(len(fis), 2, verify.MIN_SHARD_CANDIDATES)
-    first = set(fis[lo:mid])
-    bad = {next(t for t in fis[mid:hi] if t not in first)}
+    first, second = census.pool_map(list, fis, 2, verify.MIN_SHARD_CANDIDATES)
+    seen = set(first)
+    bad = {next(t for t in second if t not in seen)}
     if bad_in_first_shard:
-        bad.add(fis[mid // 2])
+        bad.add(first[len(first) // 2])
     bad_amps = {state_from_function(BooleanFunction(4, t)).amps for t in bad}
     real = verify.full_separability_fast
 
