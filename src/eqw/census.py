@@ -38,9 +38,10 @@ _PRINT_BITS = (10**COUNT_DIGITS_CAP).bit_length()
 MIN_SHARD_PLACEMENTS = 16_384
 # The same for candidates: verify's scans and the Simon periods. On a 2-core
 # host a two-worker pool took 6-19 ms to start and stop, while one candidate
-# cost 7 us (lemma decomposition), 28 us (spectral), 40 us (pipeline) and
-# 650 us (Simon classes at n = 12), so a shard this long is at least about
-# as much work as the pool costs.
+# cost 11 us (lemma decomposition at n = 4), 15 us (spectral at n = 4;
+# 152 us at n = 8), 10 us (pipeline at n = 4; 69 us at n = 8) and 390 us
+# (Simon classes at n = 12) on the packed-lane transform, so a shard this
+# long is at least about as much work as the pool costs.
 MIN_SHARD_CANDIDATES = 2_048
 
 RELATION_EQUAL = "equal"

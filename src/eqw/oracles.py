@@ -7,6 +7,7 @@ with the direct constructions is a real check, not a tautology.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,7 +27,7 @@ def _split_register_target(state: StateVector) -> tuple[StateVector, StateVector
     below, which is itself something the tests confirm both ways.
     """
     register = state.amps[::2]
-    if state.amps[1::2] != tuple(-a for a in register):
+    if state.amps[1::2] != tuple(map(operator.neg, register)):
         raise TargetEntanglementError("target qubit is not in the (+1, -1) state")
     return StateVector(state.m - 1, register), StateVector(1, (1, -1))
 
@@ -44,7 +45,7 @@ def dj_oracle_pipeline(f: BooleanFunction) -> tuple[StateVector, StateVector]:
     m = n + 1
     amps = [0] * (1 << m)
     amps[0], amps[1] = 1, -1
-    hadamard_all(amps, skip=1)
+    amps = hadamard_all(amps, skip=1)
     bits = f.bits()
     x = bits.find("1")
     while x >= 0:

@@ -328,14 +328,16 @@ def sign_block_sizes(n: int, table: int) -> tuple[int, ...]:
 
 
 def wht(s: StateVector) -> list[int]:
-    """Walsh-Hadamard spectrum of a sign vector by the in-place butterfly.
+    """Walsh-Hadamard spectrum of a sign vector by the packed-lane butterfly.
 
     spectrum[a] = sum_x s[x] * (-1)^(a.x), with a encoded under the shared
-    bit convention. O(n 2^n) integer additions.
+    bit convention. Integer-exact: ``hadamard_all`` packs the +-1 entries
+    into 8-bit lanes up to n = 6, 16-bit lanes up to n = 14 and 32-bit
+    lanes up to n = 30, and runs each of the n levels as a few big-int operations.
     """
     if not s.is_sign_vector():
         raise ValueError("spectrum is defined here for +-1 amplitude vectors only")
-    return hadamard_all(list(s.amps))
+    return hadamard_all(s.amps)
 
 
 def full_separability_fast(s: StateVector) -> Optional[tuple[LinearForm, int]]:

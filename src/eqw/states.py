@@ -12,12 +12,16 @@ of its hex encoding (0110 is 0x6); only this module packs or unpacks it.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 _SIGNS = {"0": 1, "1": -1}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def require_qubit_count(n: int) -> None:
@@ -64,7 +68,7 @@ class StateVector:
 
     def is_sign_vector(self) -> bool:
         """True when every amplitude is +1 or -1 (a real equally weighted state)."""
-        return all(a == 1 or a == -1 for a in self.amps)
+        return set(self.amps) <= {1, -1}
 
     def plus_count(self) -> int:
         return sum(1 for a in self.amps if a > 0)
@@ -206,21 +210,67 @@ def tensor_all(factors: Iterable[StateVector]) -> StateVector:
     return acc
 
 
-def hadamard_all(a: list[int], skip: int = 0) -> list[int]:
-    """Unnormalized Hadamard on every qubit of a but the last ``skip``, in place.
+# Signed array typecodes by item size in bytes; the kernel's lanes are 8,
+# 16, 32 or 64 bits wide.
+_LANE_CODES = {array(code).itemsize: code for code in "qlihb"}
 
-    The butterfly maps each pair (a[j], a[j + h]) to (a[j] + a[j + h],
-    a[j] - a[j + h]) for every index bit h from bit ``skip`` up, so the
-    ``skip`` least significant bits, the last qubits, are left alone.
-    O(n 2^n) integer additions; returns a.
-    """
+
+@lru_cache(maxsize=64)
+def _butterfly_masks(size: int, width: int, skip: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Lane masks of the packed butterfly, built from little-endian byte
+    patterns: the sign bit of every lane, and per level (shift, low lanes,
+    sign bits of the low lanes)."""
+    lane_bytes = width // 8
+    full, empty = b"\xff" * lane_bytes, bytes(lane_bytes)
+    signs = int.from_bytes((bytes(lane_bytes - 1) + b"\x80") * size, "little")
+    levels = []
     h = 1 << skip
-    size = len(a)
     while h < size:
-        for start in range(0, size, h * 2):
-            for j in range(start, start + h):
-                x, y = a[j], a[j + h]
-                a[j] = x + y
-                a[j + h] = x - y
+        low = int.from_bytes((full * h + empty * h) * (size // (2 * h)), "little")
+        levels.append((h * width, low, low & signs))
         h *= 2
-    return a
+    return signs, tuple(levels)
+
+
+def hadamard_all(a: Sequence[int], skip: int = 0) -> list[int]:
+    """Unnormalized Hadamard on every qubit of a but the last ``skip``.
+
+    Returns a new list b with b[j] = sum_x a[x] (-1)^(popcount(j & x)),
+    where j and x differ at most in index bits ``skip`` and up: each level
+    maps the pair (a[j], a[j + h]) to (a[j] + a[j + h], a[j] - a[j + h]),
+    and the ``skip`` least significant bits, the last qubits, are left
+    alone. len(a) must be a power of two.
+
+    Packed-lane kernel, integer-exact: every entry sits in a w-bit
+    offset-binary lane (value + 2^(w-1)) of one Python int, w the smallest
+    of 8, 16, 32 and 64 bits that holds max|a| * 2^levels with its sign.
+    A level is a few whole-int operations: low lanes L and high lanes H
+    become L + H - B and L - H + B, with B = 2^(w-1) in each lane; each
+    lane's result lies in [0, 2^w), so no carry crosses a lane. Raises ValueError when the bound
+    does not fit a 64-bit lane.
+    """
+    size = len(a)
+    if size & (size - 1) or not size:
+        raise ValueError(f"vector length {size} is not a power of two")
+    bound = max(max(a), -min(a)) << max(size.bit_length() - 1 - skip, 0)
+    width = 8
+    while bound >> width - 1:
+        width *= 2
+        if width > 64:
+            raise ValueError(f"entries up to {bound} do not fit a 64-bit signed lane")
+    code = _LANE_CODES[width // 8]
+    signs, levels = _butterfly_masks(size, width, skip)
+    # lane j holds a[j] at bits j*w and up: items are read little-endian,
+    # after a byte swap on a big-endian host
+    lanes = array(code, a)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    v = int.from_bytes(lanes.tobytes(), "little") ^ signs
+    for shift, low, bias in levels:
+        lo = v & low
+        hi = v >> shift & low
+        v = lo + hi - bias | (lo - hi + bias) << shift
+    lanes = array(code, (v ^ signs).to_bytes(size * width // 8, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes.tolist()

@@ -34,6 +34,22 @@ def naive_wht(amps: tuple[int, ...]) -> list[int]:
     ]
 
 
+def loop_hadamard_all(a: list[int], skip: int = 0) -> list[int]:
+    """Element-by-element butterfly, O(n 2^n) Python steps; reference for the
+    packed-lane kernel. Transforms index bits ``skip`` and up of a copy of a."""
+    a = list(a)
+    h = 1 << skip
+    size = len(a)
+    while h < size:
+        for start in range(0, size, h * 2):
+            for j in range(start, start + h):
+                x, y = a[j], a[j + h]
+                a[j] = x + y
+                a[j + h] = x - y
+        h *= 2
+    return a
+
+
 def fraction_rank(matrix: list[list[int]]) -> int:
     """Rank over the rationals by plain Gaussian elimination with Fractions."""
     mat = [[Fraction(v) for v in row] for row in matrix if any(row)]

@@ -36,6 +36,7 @@ from conftest import (
     all_sign_states,
     fraction_rank,
     interleave_product,
+    loop_hadamard_all,
     naive_wht,
 )
 
@@ -170,6 +171,23 @@ def test_wht_matches_definition_exhaustively():
     for n in (1, 2, 3):
         for _, s in all_sign_states(n):
             assert wht(s) == naive_wht(s.amps)
+
+
+def test_wht_matches_definition_sampled():
+    rng = SplitMix64(27)
+    for n in range(4, 9):
+        for _ in range(4):
+            s = state_from_function(BooleanFunction(n, rng.below(1 << (1 << n))))
+            assert wht(s) == naive_wht(s.amps)
+
+
+def test_wht_matches_loop_butterfly_in_32_bit_lanes():
+    # n = 14 is the last spectrum in 16-bit lanes, n = 15 the first in 32-bit
+    rng = SplitMix64(28)
+    for n in (14, 15):
+        s = state_from_function(BooleanFunction(n, rng.below(1 << (1 << n))))
+        assert wht(s) == loop_hadamard_all(s.amps)
+        assert sum(c * c for c in wht(s)) == 1 << (2 * n)
 
 
 def test_wht_examples_and_validation():

@@ -114,3 +114,25 @@ def test_one_function_starts_process_pools():
         called = {node.func.id for node in ast.walk(functions[scan])
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         assert "pool_map" in called, scan
+
+
+def test_one_transform_kernel():
+    # the packed-lane butterfly is the one Walsh-Hadamard kernel: defined in
+    # eqw.states, called by the spectral test and the DJ pipeline alone
+    defined, callers = [], []
+    for path in sorted(Path(eqw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "hadamard_all"]
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [
+                    f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and (
+                        isinstance(node.func, ast.Name) and node.func.id == "hadamard_all"
+                        or isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "hadamard_all"
+                    )
+                ]
+    assert defined == ["states.hadamard_all"]
+    assert sorted(callers) == ["oracles.dj_oracle_pipeline", "separability.wht"]

@@ -12,6 +12,7 @@ from eqw.states import (
     apply_local_x,
     bv_function,
     complement,
+    hadamard_all,
     is_balanced,
     make_function,
     parse_function,
@@ -21,6 +22,8 @@ from eqw.states import (
     uniform_state,
     weight,
 )
+
+from conftest import loop_hadamard_all
 
 
 def test_make_function_basic():
@@ -213,3 +216,39 @@ def test_canonical_sign():
     s = StateVector(2, (0, -2, 1, 0))
     assert s.canonical().amps == (0, 2, -1, 0)
     assert s.canonical() == s.negate().canonical()
+
+
+def test_hadamard_all_matches_loop_butterfly():
+    # n = 6 -> 7 moves a {-1, 0, 1} vector from 8-bit to 16-bit lanes
+    rng = SplitMix64(25)
+    for n in range(1, 14):
+        for skip in (0, 1):
+            for _ in range(3):
+                a = [rng.below(3) - 1 for _ in range(1 << n)]
+                before = list(a)
+                assert hadamard_all(a, skip) == loop_hadamard_all(a, skip)
+                assert a == before
+
+
+def test_hadamard_all_at_the_edge_of_every_lane_width():
+    rng = SplitMix64(26)
+    for width in (8, 16, 32, 64):
+        for n in range(1, 7):
+            for skip in (0, 1):
+                top = (1 << width - 1) - 1 >> max(n - skip, 0)
+                a = [rng.below(2 * top + 1) - top for _ in range(1 << n)]
+                a[rng.below(1 << n)] = rng.below(2) * 2 * top - top
+                assert hadamard_all(a, skip) == loop_hadamard_all(a, skip)
+
+
+def test_hadamard_all_refuses_what_a_64_bit_lane_cannot_hold():
+    assert hadamard_all([(1 << 62) - 1, 0]) == [(1 << 62) - 1] * 2
+    with pytest.raises(ValueError):
+        hadamard_all([1 << 62, 0])
+    with pytest.raises(ValueError):
+        hadamard_all([0, 0, 0, -(1 << 62)], skip=1)
+    assert hadamard_all([1 << 61, 0, 0, 0], skip=1) == [1 << 61, 0, 1 << 61, 0]
+    with pytest.raises(ValueError):
+        hadamard_all([1, -1, 1])
+    with pytest.raises(ValueError):
+        hadamard_all([])
