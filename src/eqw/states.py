@@ -12,8 +12,7 @@ of its hex encoding (0110 is 0x6); only this module packs or unpacks it.
 """
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -21,7 +20,6 @@ from typing import Iterable, Sequence
 
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 _SIGNS = {"0": 1, "1": -1}
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def require_qubit_count(n: int) -> None:
@@ -210,12 +208,16 @@ def tensor_all(factors: Iterable[StateVector]) -> StateVector:
     return acc
 
 
-# Signed array typecodes by item size in bytes; the kernel's lanes are 8,
-# 16, 32 or 64 bits wide.
-_LANE_CODES = {array(code).itemsize: code for code in "qlihb"}
+# Little-endian struct codes of the kernel's signed lanes by width in
+# bits; standard sizes, so every host packs the same bytes.
+_LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+# Masks of transforms up to this length are cached; longer ones are built
+# per call, so a large transform leaves no memory behind. The CLI's caps
+# keep every state it transforms at or below this length.
+_CACHED_MASK_SIZE = 1 << 13
 
 
-@lru_cache(maxsize=64)
 def _butterfly_masks(size: int, width: int, skip: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Lane masks of the packed butterfly, built from little-endian byte
     patterns: the sign bit of every lane, and per level (shift, low lanes,
@@ -232,6 +234,9 @@ def _butterfly_masks(size: int, width: int, skip: int) -> tuple[int, tuple[tuple
     return signs, tuple(levels)
 
 
+_cached_butterfly_masks = lru_cache(maxsize=64)(_butterfly_masks)
+
+
 def hadamard_all(a: Sequence[int], skip: int = 0) -> list[int]:
     """Unnormalized Hadamard on every qubit of a but the last ``skip``.
 
@@ -246,8 +251,8 @@ def hadamard_all(a: Sequence[int], skip: int = 0) -> list[int]:
     of 8, 16, 32 and 64 bits that holds max|a| * 2^levels with its sign.
     A level is a few whole-int operations: low lanes L and high lanes H
     become L + H - B and L - H + B, with B = 2^(w-1) in each lane; each
-    lane's result lies in [0, 2^w), so no carry crosses a lane. Raises ValueError when the bound
-    does not fit a 64-bit lane.
+    lane's result lies in [0, 2^w), so no carry crosses a lane. Raises
+    ValueError when the bound does not fit a 64-bit lane.
     """
     size = len(a)
     if size & (size - 1) or not size:
@@ -258,19 +263,13 @@ def hadamard_all(a: Sequence[int], skip: int = 0) -> list[int]:
         width *= 2
         if width > 64:
             raise ValueError(f"entries up to {bound} do not fit a 64-bit signed lane")
-    code = _LANE_CODES[width // 8]
-    signs, levels = _butterfly_masks(size, width, skip)
-    # lane j holds a[j] at bits j*w and up: items are read little-endian,
-    # after a byte swap on a big-endian host
-    lanes = array(code, a)
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    v = int.from_bytes(lanes.tobytes(), "little") ^ signs
+    masks = _cached_butterfly_masks if size <= _CACHED_MASK_SIZE else _butterfly_masks
+    signs, levels = masks(size, width, skip)
+    # lane j holds a[j] at bits j*w and up
+    lanes = f"<{size}{_LANE_CODES[width]}"
+    v = int.from_bytes(struct.pack(lanes, *a), "little") ^ signs
     for shift, low, bias in levels:
         lo = v & low
         hi = v >> shift & low
         v = lo + hi - bias | (lo - hi + bias) << shift
-    lanes = array(code, (v ^ signs).to_bytes(size * width // 8, "little"))
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return lanes.tolist()
+    return list(struct.unpack(lanes, (v ^ signs).to_bytes(size * width // 8, "little")))

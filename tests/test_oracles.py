@@ -35,7 +35,17 @@ def test_pipeline_matches_direct_construction_n2():
 
 def test_pipeline_sampled_large_n():
     rng = SplitMix64(7)
-    for n in range(1, 13):
+    for n in range(4, 9):
+        for _ in range(200):
+            f = BooleanFunction(n, rng.below(1 << (1 << n)))
+            register, target = dj_oracle_pipeline(f)
+            assert register.amps == state_from_function(f).amps
+            assert target.amps == (1, -1)
+
+
+def test_pipeline_sampled_every_n_to_12():
+    rng = SplitMix64(11)
+    for n in (*range(1, 4), *range(9, 13)):
         for _ in range(40):
             f = BooleanFunction(n, rng.below(1 << (1 << n)))
             register, target = dj_oracle_pipeline(f)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqw.states as states
 from eqw.rng import SplitMix64
 from eqw.states import (
     BooleanFunction,
@@ -239,6 +240,13 @@ def test_hadamard_all_at_the_edge_of_every_lane_width():
                 a = [rng.below(2 * top + 1) - top for _ in range(1 << n)]
                 a[rng.below(1 << n)] = rng.below(2) * 2 * top - top
                 assert hadamard_all(a, skip) == loop_hadamard_all(a, skip)
+
+
+def test_hadamard_all_keeps_no_masks_of_a_long_transform():
+    a = [1, -1] * (1 << 13)
+    before = states._cached_butterfly_masks.cache_info()
+    assert hadamard_all(a) == loop_hadamard_all(a)
+    assert states._cached_butterfly_masks.cache_info() == before
 
 
 def test_hadamard_all_refuses_what_a_64_bit_lane_cannot_hold():
