@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -323,13 +324,13 @@ class CensusReport:
 def pool_map(fn, items, workers: int, min_shard: int) -> list:
     """[fn(shard) for shard in shards], in order, over contiguous shards that
     cover the sliceable items: one shard per worker, but at most one per
-    min_shard items, rounded up, and at least one. A lone shard runs in
-    process.
+    min_shard items, rounded up, and at least one, and no more shards than
+    cores, whatever workers asks for. A lone shard runs in process.
 
     This is the package's one process pool. Its workers are daemonic and
     cannot start pools of their own, so no job may call ``enumerate_*``.
     """
-    shards = max(1, min(workers, -(-len(items) // min_shard)))
+    shards = max(1, min(workers, os.cpu_count() or 1, -(-len(items) // min_shard)))
     if shards == 1:
         return [fn(items)]
     cuts = [len(items) * i // shards for i in range(shards + 1)]

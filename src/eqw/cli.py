@@ -35,7 +35,7 @@ from .oracles import (
     simon_canonical_state,
     simon_measure,
 )
-from .rng import SplitMix64
+from .rng import KeyedPermutation
 from .separability import FACTOR_CAP, check_factor_cap, classify
 from .states import (
     BooleanFunction,
@@ -166,12 +166,13 @@ def classify_cmd(n, truth_table, simon_r, bv_a, fmt, max_n):
 
 
 def _grover_function(n: int, m: int | None, solutions: str | None, seed: int, cap: int):
-    """The marked set, from --solutions or M seeded draws, and its function.
+    """The marked set, from --solutions or the first M values of the seed's
+    keyed permutation, and its function.
 
-    The flags are validated and the qubit cap checked before any 2^n work.
+    The flags are validated by bit length, so a huge n builds no 2^n value,
+    and the qubit cap is checked before any 2^n work.
     """
     require_qubit_count(n)
-    size = 1 << n
     if (m is None) == (solutions is None):
         raise click.UsageError("give exactly one of --m or --solutions")
     if solutions is not None:
@@ -179,15 +180,13 @@ def _grover_function(n: int, m: int | None, solutions: str | None, seed: int, ca
             marked = sorted({int(tok) for tok in solutions.split(",")})
         except ValueError:
             raise ValueError(f"--solutions must be comma-separated integers") from None
-        if not marked or any(not 0 <= x < size for x in marked):
-            raise ValueError(f"solution indices must lie in 0..{size - 1}")
-    elif not 0 < m < size:
+        if not marked or any(x < 0 or x.bit_length() > n for x in marked):
+            raise ValueError(f"solution indices must lie in 0..2^{n} - 1")
+    elif m <= 0 or m.bit_length() > n:
         raise ValueError(f"need 0 < M < 2^n, got M={m}")
     check_factor_cap(n, cap)
     if solutions is None:
-        pool = list(range(size))
-        SplitMix64(seed).shuffle(pool)
-        marked = sorted(pool[:m])
+        marked = sorted(map(KeyedPermutation(n, seed), range(m)))
     return BooleanFunction(n, sum(1 << x for x in marked)), marked
 
 
@@ -224,9 +223,13 @@ def simulate_cmd(algorithm, n, truth_table, m, solutions, r, seed, instance_path
             check_factor_cap(n, cap)
             inst = make_simon_instance(n, period, seed)
         if instance_out:
-            with open(instance_out, "w", encoding="utf-8") as fh:
-                json.dump(inst.to_dict(), fh, indent=2)
-                fh.write("\n")
+            try:
+                with open(instance_out, "w", encoding="utf-8") as fh:
+                    json.dump(inst.to_dict(), fh, indent=2)
+                    fh.write("\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write --instance-out {instance_out}: "
+                                 f"{exc.strerror}") from None
         outcome = simon_measure(inst, seed)
         state = outcome.collapsed
         payload = {"algorithm": "simon", "seed": seed, "instance": inst.to_dict(),

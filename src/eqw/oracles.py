@@ -8,11 +8,12 @@ with the direct constructions is a real check, not a tautology.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ResourceCapError, TargetEntanglementError
-from .rng import SplitMix64
+from .rng import KeyedPermutation, SplitMix64
 from .states import BooleanFunction, StateVector, hadamard_all
 
 GLOBAL_STATE_CAP = 8
@@ -63,20 +64,25 @@ def prepare_dj_state(f: BooleanFunction) -> StateVector:
 
 @dataclass(frozen=True)
 class SimonInstance:
-    """A periodic 2-to-1 function: table[x] = table[y] iff x = y xor r."""
+    """A periodic 2-to-1 function: table[x] = table[y] iff x = y xor r.
+
+    A loaded table is a tuple, checked in full; CosetLabels are 2-to-1 by
+    construction and not scanned."""
 
     n: int
     r: int
-    table: tuple[int, ...]
+    table: Sequence[int]
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
-        if not 0 < self.r < (1 << self.n):
+        if self.r <= 0 or self.r.bit_length() > self.n:
             raise ValueError(f"period must be a nonzero {self.n}-bit value, got {self.r}")
-        size = 1 << self.n
         table, r = self.table, self.r
-        if len(table) != size:
+        if isinstance(table, CosetLabels) and (table.n, table.r) == (self.n, r):
+            return
+        size = len(table)
+        if size.bit_length() != self.n + 1 or size != 1 << self.n:  # a huge n builds no 2^n
             raise ValueError("table must cover all 2^n inputs")
         # Once outputs are in range and periodic, no output is shared beyond
         # its coset exactly when there is one output per coset.
@@ -146,6 +152,36 @@ def coset_representative(r: int, k: int) -> int:
     return (k & ~low) << 1 | (k & low)
 
 
+def coset_index(r: int, x: int) -> int:
+    """The k with x in coset {coset_representative(r, k), its xor with r}:
+    x xor r if x has r's top bit, then that bit deleted."""
+    low = (1 << (r.bit_length() - 1)) - 1
+    if x & (low + 1):
+        x ^= r
+    return (x >> 1 & ~low) | (x & low)
+
+
+class CosetLabels(Sequence):
+    """A seeded instance's table, computed per read and never stored:
+    table[x] = P(coset_index(r, x)), P the seed's KeyedPermutation, so cosets
+    get distinct labels. Equal to, and hashed as, the tuple of its entries."""
+
+    def __init__(self, n: int, r: int, seed: int):
+        self.n, self.r, self._label = n, r, KeyedPermutation(n, seed)
+
+    def __len__(self) -> int:
+        return 1 << self.n
+
+    def __getitem__(self, x: int) -> int:
+        return self._label(coset_index(self.r, range(1 << self.n)[x]))  # bounds as a tuple's
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, CosetLabels)) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 def _indicator_state(m: int, support: Iterable[int]) -> StateVector:
     """The m-qubit state with amplitude 1 on support and 0 elsewhere."""
     amps = [0] * (1 << m)
@@ -164,27 +200,20 @@ def parse_period(n: int, r: int | str) -> int:
         value = int(r, 2)
     else:
         value = int(r)
-    if not 0 < value < (1 << n):
+    if value <= 0 or value.bit_length() > n:
         raise ValueError(f"period must be a nonzero {n}-bit value, got {r!r}")
     return value
 
 
 def make_simon_instance(n: int, r: int | str, seed: int) -> SimonInstance:
-    """Build a periodic 2-to-1 table with seed-determined output labels.
+    """Build a periodic 2-to-1 function with seed-determined output labels.
 
-    Inputs are grouped into the 2^(n-1) cosets {x, x xor r}; a Fisher-Yates
-    shuffle of all 2^n output words (splitmix64 keyed by the seed) assigns
-    each coset, in ascending-representative order, a distinct output.
+    Coset k = {coset_representative(r, k), its xor with r} is labelled P(k),
+    P the seed's KeyedPermutation of n-bit words. The labels are distinct by
+    construction, so the build is O(n): no table is stored or scanned.
     """
     rv = parse_period(n, r)
-    size = 1 << n
-    labels = list(range(size))
-    SplitMix64(seed).shuffle(labels)
-    table = [0] * size
-    for k in range(size >> 1):
-        rep = coset_representative(rv, k)
-        table[rep] = table[rep ^ rv] = labels[k]
-    return SimonInstance(n, rv, tuple(table))
+    return SimonInstance(n, rv, CosetLabels(n, rv, seed))
 
 
 def simon_global_state(inst: SimonInstance) -> StateVector:

@@ -1,8 +1,11 @@
-"""Deterministic 64-bit generator for seeded simulation runs.
+"""Deterministic 64-bit generator and a keyed permutation for seeded runs.
 
-splitmix64 (Steele, Lea, Flood 2014) with unbiased bounded draws and a
-Fisher-Yates shuffle. The algorithm is pinned here, rather than delegating
-to ``random.Random``, so that a (seed, n) pair reproduces the same bytes on
+splitmix64 (Steele, Lea, Flood 2014) with unbiased bounded draws, and a
+seed-keyed bijection on n-bit words. Its values at 0, 1, 2, ... are distinct
+by construction, so seeded runs take distinct n-bit words from it (Simon
+output labels, Grover solutions) at a few integer operations each, never
+touching all 2^n. The algorithms are pinned here, rather than delegating to
+``random.Random``, so that a (seed, n) pair reproduces the same bytes on
 every platform and Python version.
 """
 from __future__ import annotations
@@ -51,22 +54,25 @@ class SplitMix64:
             if v < bound:
                 return v
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates, iterating from the last index down.
 
-        Index j is ``below(i + 1)`` with the draw inlined: every bound fits in
-        64 bits, so each attempt takes the top i.bit_length() bits of one
-        word and is rejected while it exceeds i.
-        """
-        state = self._state
-        for i in range(len(items) - 1, 0, -1):
-            shift = 64 - i.bit_length()
-            while True:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                j = (z ^ (z >> 31)) >> shift
-                if j <= i:
-                    break
-            items[i], items[j] = items[j], items[i]
-        self._state = state
+class KeyedPermutation:
+    """A seed-keyed bijection P on nbits-bit words: three rounds of
+    k = ((k xor b) * a) mod 2^nbits, then k ^= k >> ceil(nbits/2), with a odd
+    and a, b drawn from SplitMix64(seed). Each step is invertible for every
+    nbits >= 1, so no cycle-walking is needed.
+
+    P is a fixed bijection per seed, not a uniform draw over all of them.
+    """
+
+    def __init__(self, nbits: int, seed: int):
+        rng = SplitMix64(seed)
+        self._keys = tuple((rng.bits(nbits) | 1, rng.bits(nbits)) for _ in range(3))
+        self._mask = (1 << nbits) - 1
+        self._shift = (nbits + 1) // 2
+
+    def __call__(self, k: int) -> int:
+        mask, shift = self._mask, self._shift
+        for a, b in self._keys:
+            k = ((k ^ b) * a) & mask
+            k ^= k >> shift
+        return k

@@ -36,9 +36,10 @@ class BooleanFunction:
 
     def __post_init__(self):
         require_qubit_count(self.n)
-        size = 1 << self.n
-        if not isinstance(self.table, int) or self.table < 0 or self.table.bit_length() > size:
-            raise ValueError(f"truth table must be an int of at most 2^{self.n} = {size} bits")
+        # bit_length <= 2^n, decided without building 2^n, which may be huge
+        if (not isinstance(self.table, int) or self.table < 0
+                or (self.table.bit_length() - 1).bit_length() > self.n):
+            raise ValueError(f"truth table must be an int of at most 2^{self.n} bits")
 
     def bits(self) -> str:
         """Text encoding, index ascending (x = 0 first)."""
@@ -110,8 +111,8 @@ def make_function(n: int, table: Sequence[int] | str) -> BooleanFunction:
     if isinstance(table, str) and not set(table) <= {"0", "1"}:
         raise ValueError(f"truth table string must be over {{0,1}}, got {table!r}")
     require_qubit_count(n)
-    if len(table) != 1 << n:
-        raise ValueError(f"truth table has {len(table)} entries, expected 2^{n} = {1 << n}")
+    if len(table).bit_length() != n + 1 or len(table) != 1 << n:  # a huge n builds no 2^n
+        raise ValueError(f"truth table has {len(table)} entries, expected 2^{n}")
     if not isinstance(table, str):
         if not set(table) <= {0, 1}:
             raise ValueError("truth table entries must be 0 or 1")
@@ -132,7 +133,7 @@ def parse_function(n: int, text: str) -> BooleanFunction:
             value = int(text, 16)
         except ValueError:
             raise ValueError(f"malformed hex truth table {text!r}") from None
-        if value.bit_length() > 1 << n:
+        if (value.bit_length() - 1).bit_length() > n:
             raise ValueError(f"hex truth table {text!r} does not fit 2^{n} bits")
         return BooleanFunction(n, value)
     return make_function(n, text)

@@ -468,3 +468,32 @@ def test_log2_int_handles_huge_values():
     )
     with pytest.raises(ValueError):
         log2_int(0)
+
+
+def test_pool_map_starts_no_more_processes_than_cores(monkeypatch):
+    # a stand-in pool records its size and maps in process, so the test
+    # starts no process however many workers are asked for
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            return list(map(fn, shards))
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    items = range(1_000_000)
+    for workers in (2, 3, 5000):
+        assert sum(census.pool_map(sum, items, workers, 1)) == sum(items)
+    assert started == [2, 3, 3]
+    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    assert census.pool_map(len, items, 5000, 1) == [len(items)]
+    assert started == [2, 3, 3]

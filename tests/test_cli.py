@@ -167,6 +167,40 @@ def test_simulate_simon_instance_roundtrip(runner, tmp_path):
     second = json.loads(res2.output)
     assert first["instance"] == second["instance"]
     assert first["observed"] == second["observed"]
+    assert res.stdout_bytes == res2.stdout_bytes
+
+
+def test_simulate_simon_reports_an_unwritable_instance_out(runner, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    res = runner.invoke(main, ["simulate", "simon", "--n", "3", "--r", "011",
+                               "--instance-out", str(path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: cannot write --instance-out ")
+    assert res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, code", [
+    (["classify", "--n", "1000000000000", "--truth-table", "01"], 2),
+    (["classify", "--n", "1000000000000", "--truth-table", "0x1"], 3),
+    (["simulate", "dj", "--n", "1000000000000", "--truth-table", "01"], 2),
+    (["simulate", "grover", "--n", "1000000000000", "--m", "1"], 3),
+    (["simulate", "grover", "--n", "1000000000000", "--solutions", "-1"], 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_a_huge_n_exits_without_building_a_power_of_two(runner, args, code):
+    # flags are checked by bit length, so 2^n is never built as an int
+    res = runner.invoke(main, args)
+    assert res.exit_code == code
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def test_an_instance_file_with_a_huge_n_is_an_input_error(runner, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": 10 ** 12, "r": "1", "table": ["0", "0"]}))
+    res = runner.invoke(main, ["simulate", "simon", "--n", str(10 ** 12), "--instance", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: table must cover all 2^n inputs\n"
 
 
 @pytest.mark.parametrize(
@@ -205,7 +239,7 @@ def test_over_cap_runs_exit_3_before_building_a_state(runner, monkeypatch, args)
         raise RuntimeError("a state was built for a run over the cap")
 
     for name in ("state_from_function", "bv_function", "simon_canonical_state",
-                 "BooleanFunction", "prepare_dj_state", "make_simon_instance", "SplitMix64"):
+                 "BooleanFunction", "prepare_dj_state", "make_simon_instance", "KeyedPermutation"):
         monkeypatch.setattr(cli, name, refuse)
     res = runner.invoke(main, args)
     n = args[args.index("--n") + 1]
@@ -289,8 +323,9 @@ def test_census_workers_byte_identical(runner):
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_census_simon_stdout_does_not_depend_on_the_worker_count(runner, monkeypatch, fmt):
     # 255 periods in shards of at least 64: 2 and 5 workers start pools of 2
-    # and 4 shards
+    # and 4 shards on a host of 4 cores
     monkeypatch.setattr(census, "MIN_SHARD_CANDIDATES", 64)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
     started, pool = [], census.multiprocessing.Pool
 
     def counted_pool(processes):

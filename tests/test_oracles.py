@@ -6,8 +6,10 @@ import pytest
 
 from eqw.errors import ResourceCapError, TargetEntanglementError
 from eqw.oracles import (
+    CosetLabels,
     SimonInstance,
     _split_register_target,
+    coset_index,
     coset_representative,
     dj_oracle_pipeline,
     make_simon_instance,
@@ -76,7 +78,7 @@ def test_make_simon_instance_deterministic():
     b = make_simon_instance(3, "101", seed=9)
     assert a == b
     c = make_simon_instance(3, "101", seed=10)
-    assert c.table != a.table  # overwhelmingly likely across label shuffles
+    assert c.table != a.table  # the two seeds key different permutations
 
 
 def test_make_simon_instance_two_to_one():
@@ -125,6 +127,49 @@ def test_coset_representative_is_the_kth_ascending_representative():
         for r in range(1, 1 << n):
             reps = [x for x in range(1 << n) if x < x ^ r]
             assert [coset_representative(r, k) for k in range(len(reps))] == reps
+
+
+def test_coset_index_inverts_coset_representative():
+    for n in range(2, 7):
+        for r in range(1, 1 << n):
+            for x in range(1 << n):
+                k = coset_index(r, x)
+                assert coset_index(r, x ^ r) == k
+                assert coset_representative(r, k) == min(x, x ^ r)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_keyed_instances_pass_the_full_table_validation(n):
+    for r in sorted({1, 1 << (n - 1), (1 << n) - 1, 0b1011 % (1 << n) or 3, (1 << n) - 2}):
+        inst = make_simon_instance(n, r, seed=n * 31 + r)
+        assert isinstance(inst.table, CosetLabels)
+        table = tuple(inst.table)
+        assert SimonInstance(n, r, table) == inst
+        assert sorted(Counter(table).values()) == [2] * (1 << (n - 1))
+
+
+def test_a_keyed_instance_does_no_exponential_work():
+    r = 0x9E3779B97F4A7C15
+    inst = make_simon_instance(64, r, seed=5)
+    rng = SplitMix64(64)
+    xs = [rng.bits(64) for _ in range(200)]
+    assert all(inst.table[x] == inst.table[x ^ r] for x in xs)
+    labels = {inst.table[x] for x in xs}
+    assert len(labels) == len({min(x, x ^ r) for x in xs})
+    assert inst.table[-1] == inst.table[(1 << 64) - 1]
+    with pytest.raises(IndexError):
+        inst.table[1 << 64]
+
+
+def test_a_keyed_instance_equals_and_hashes_as_its_reload():
+    for n, r, seed in [(2, "11", 0), (3, "110", 5), (6, "100101", 9)]:
+        inst = make_simon_instance(n, r, seed)
+        reloaded = SimonInstance.from_dict(json.loads(json.dumps(inst.to_dict())))
+        assert isinstance(reloaded.table, tuple)
+        assert reloaded == inst and inst == reloaded
+        assert hash(reloaded) == hash(inst)
+        assert reloaded.table == inst.table and inst.table == reloaded.table
+    assert make_simon_instance(3, "110", 5) != make_simon_instance(3, "011", 5)
 
 
 def test_simon_instance_json_roundtrip():

@@ -328,13 +328,20 @@ def test_try_factor_and_schmidt_rank_on_integer_states_with_zeros():
                     assert (try_factor(s, p) is not None) == (rank == 1)
 
 
+def _shuffle(rng: SplitMix64, items: list) -> None:
+    """In-place Fisher-Yates from the last index down, j = rng.below(i + 1)."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def test_try_factor_returns_primitive_factors_of_planted_products():
     rng = SplitMix64(908)
     for n in range(2, 7):
         for _ in range(20):
             k = 1 + rng.below(n - 1)
             qubits = list(range(1, n + 1))
-            rng.shuffle(qubits)
+            _shuffle(rng, qubits)
             subset = tuple(sorted(qubits[:k]))
             # zero first entries push the first nonzero basis index off row and column 0
             u_raw = [0] + _random_entries(rng, (1 << k) - 1)
@@ -363,7 +370,7 @@ def test_try_factor_support_and_hint_never_change_the_answer():
             states.append(sparse)
             k = 1 + rng.below(n - 1)
             qubits = list(range(1, n + 1))
-            rng.shuffle(qubits)
+            _shuffle(rng, qubits)
             u = _random_entries(rng, 1 << k)
             v = _random_entries(rng, 1 << (n - k))
             states.append(list(interleave_product(n, tuple(sorted(qubits[:k])), u, v)))
@@ -461,7 +468,7 @@ def _planted_signs(rng: SplitMix64, n: int) -> tuple[int, ...]:
         fi = rng.bits(1 << n)
         return tuple(1 - 2 * ((fi >> x) & 1) for x in range(1 << n))
     qubits = list(range(1, n + 1))
-    rng.shuffle(qubits)
+    _shuffle(rng, qubits)
     k = 1 + rng.below(n - 1)
     subset = tuple(sorted(qubits[:k]))
     return interleave_product(n, subset, _planted_signs(rng, k), _planted_signs(rng, n - k))

@@ -136,3 +136,17 @@ def test_one_transform_kernel():
                 ]
     assert defined == ["states.hadamard_all"]
     assert sorted(callers) == ["oracles.dj_oracle_pipeline", "separability.wht"]
+
+
+def test_seeded_choices_come_from_one_keyed_permutation():
+    # Simon labels and Grover solutions read the keyed permutation in
+    # eqw.rng; no shuffle of all 2^n words is left to come back as a second path
+    defined, shuffles = [], []
+    for path in sorted(Path(eqw.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        shuffles += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1)
+                     if "shuffle" in line.lower()]
+        defined += [f"{path.stem}.{node.name}" for node in ast.walk(ast.parse(text))
+                    if isinstance(node, ast.ClassDef) and "Permutation" in node.name]
+    assert shuffles == []
+    assert defined == ["rng.KeyedPermutation"]
