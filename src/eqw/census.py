@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import ResourceCapError
 from .oracles import simon_canonical_state
-from .separability import FACTOR_CAP, check_factor_cap, finest_factorization, sign_block_sizes
+from .separability import FACTOR_CAP, anf_block_sizes, check_factor_cap, finest_factorization
 
 FRACTION_CAP = 20
 DJ_FULL_CAP = 4
@@ -32,17 +32,23 @@ PLACEMENT_CAP = 10**9
 COUNT_DIGITS_CAP = 4_300
 _PRINT_BITS = (10**COUNT_DIGITS_CAP).bit_length()
 # pool_map takes at most one shard per this many placements, rounded up, so
-# a scan no longer than this runs in process. On a 2-core host a two-shard
-# pool took 64 ms against 54 ms in process for DJ n = 4 (12,870 placements)
-# and 179 ms against 193 ms for Grover (5, 4) (35,960). The value is only a
-# bound inside that bracket; the crossover itself was not measured.
-MIN_SHARD_PLACEMENTS = 16_384
+# a scan no longer than this runs in process. On a 2-core host the ANF
+# kernel scans about 5 placements per us in process, and a two-shard pool
+# costs about 8 ms more than half that: over the first N placements of
+# Grover (5, 5), medians of 15 alternating runs, the pool took 16.5 ms
+# against 15.6 in process at N = 81,920 and 17.8 against 18.8 at 98,304.
+# So the scans that a pool slows down, Grover (5, 4) (35,960) among them,
+# run in process.
+MIN_SHARD_PLACEMENTS = 98_304
 # The same for candidates: verify's scans and the Simon periods. On a 2-core
 # host a two-worker pool took 6-19 ms to start and stop, while one candidate
-# cost 11 us (lemma decomposition at n = 4), 15 us (spectral at n = 4;
-# 152 us at n = 8), 10 us (pipeline at n = 4; 69 us at n = 8) and 390 us
-# (Simon classes at n = 12) on the packed-lane transform, so a shard this
-# long is at least about as much work as the pool costs.
+# cost 15 us (spectral at n = 4; 152 us at n = 8), 10 us (pipeline at n = 4;
+# 69 us at n = 8) and 390 us (Simon classes at n = 12) on the packed-lane
+# transform, so a shard this long is at least about as much work as the pool
+# costs. Lemma decomposition, screened by the ANF kernel, costs 1.75 us a
+# candidate at n = 4, less than this, but with its 12,870 candidates cut in
+# two shards, the lemma suite at n = 4 still took 56 ms at two workers
+# against 59 ms at one (medians of 9).
 MIN_SHARD_CANDIDATES = 2_048
 
 RELATION_EQUAL = "equal"
@@ -342,19 +348,17 @@ def placements(n: int, m: int, ranks: range):
     """Packed truth tables, bit x set at each minus sign, of every placement
     of m minus signs among the 2^n amplitudes with combination rank in
     ranks, a range of step 1, in rank order."""
-    return (
-        sum(1 << x for x in minus)
-        for minus in islice(combinations(range(1 << n), m), ranks.start, ranks.stop)
-    )
+    bits = [1 << x for x in range(1 << n)]
+    return map(sum, islice(combinations(bits, m), ranks.start, ranks.stop))
 
 
 def _scan_placements(n: int, m: int, ranks: range) -> Counter:
     """Histogram of finest block sizes over one rank shard of placements.
 
-    Each placement's table goes to the ANF kernel ``sign_block_sizes``; no
+    The tables go through the packed-lane ANF kernel ``anf_block_sizes``; no
     state is built and no rank-1 test runs.
     """
-    return Counter(sign_block_sizes(n, table) for table in placements(n, m, ranks))
+    return Counter(anf_block_sizes(n, placements(n, m, ranks)))
 
 
 def _placement_histogram(n: int, m: int, workers: int) -> Counter:
@@ -449,8 +453,8 @@ def _dj_rows(n: int, sizes: Optional[Counter]) -> tuple[CensusRow, ...]:
 def enumerate_dj(n: int, workers: int = 1, cap: int = DJ_FULL_CAP) -> CensusReport:
     """Exhaustively classify the balanced functions on n bits.
 
-    Runs one scan over the placements of 2^(n-1) minus signs, each read by
-    the ANF kernel ``sign_block_sizes``, capped at n = cap.
+    Runs one scan over the placements of 2^(n-1) minus signs, read by the
+    ANF kernel ``anf_block_sizes``, capped at n = cap.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

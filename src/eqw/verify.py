@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, compress, product, tee
 from math import prod
 from typing import Callable, Iterable, Sequence
 
@@ -38,11 +38,11 @@ from .oracles import (
 from .rng import SplitMix64
 from .separability import (
     Bipartition,
+    anf_block_sizes,
     check_factor_cap,
     classify,
     full_separability_fast,
     schmidt_rank,
-    sign_block_sizes,
     wht,
 )
 from .states import BooleanFunction, StateVector, state_from_function, tensor_all
@@ -169,22 +169,23 @@ def check_lemma_decomposition(n: int, ranks: range | None = None) -> Check:
     """Every balanced sign vector that splits has a balanced block.
 
     Scans the balanced tables with combination rank in ranks, by default
-    all of them. The ANF kernel screens out the vectors with one block, so
-    only the splittable ones are built and factored.
+    all of them. The ANF kernel ``anf_block_sizes`` screens out the vectors
+    with one block, which cannot fail, so only the splittable ones are built
+    and factored, in rank order.
     """
     if ranks is None:
         ranks = range(count_balanced(n))
+    tables, screened = tee(placements(n, 1 << (n - 1), ranks))
+    blocks = anf_block_sizes(n, screened)
+    splittable = compress(tables, (len(sizes) >= 2 for sizes in blocks))
 
     def no_balanced_block(table: int) -> bool:
-        if len(sign_block_sizes(n, table)) < 2:
-            return False
         rep = classify(state_from_function(BooleanFunction(n, table)))
         return rep.q >= 2 and not any(
             f.plus_count() == f.minus_count() for _, f in rep.factorization.blocks
         )
 
-    return _check("lemma", f"decomposition-direction n={n}",
-                  placements(n, 1 << (n - 1), ranks),
+    return _check("lemma", f"decomposition-direction n={n}", splittable,
                   no_balanced_block,
                   lambda t: f"no balanced block for balanced table {BooleanFunction(n, t).bits()}",
                   "every splittable balanced sign vector has a balanced block")

@@ -4,7 +4,25 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+from eqw import census
 from eqw.states import BooleanFunction, StateVector, state_from_function
+
+
+@pytest.fixture
+def pool_starts(monkeypatch) -> list[int]:
+    """The process count of every pool ``census.pool_map`` starts, in order,
+    on a stand-in host of 4 cores; the pools are real."""
+    started, pool = [], census.multiprocessing.Pool
+
+    def counted_pool(processes):
+        started.append(processes)
+        return pool(processes=processes)
+
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(census.multiprocessing, "Pool", counted_pool)
+    return started
 
 
 def all_sign_states(n: int):

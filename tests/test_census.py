@@ -370,10 +370,13 @@ def test_enumerate_grover_outside_regime_row():
     assert not enumerate_grover(2, 2).failures()
 
 
-def test_enumerate_grover_workers_deterministic():
-    # 35,960 placements: 2 and 3 workers start pools of 2 and 3 shards
+def test_enumerate_grover_workers_deterministic(monkeypatch, pool_starts):
+    # 35,960 placements in shards of at least 4,096: 2 and 3 workers start
+    # pools of 2 and 3 shards
+    monkeypatch.setattr(census, "MIN_SHARD_PLACEMENTS", 4096)
     one = enumerate_grover(5, 4, workers=1)
     assert one == enumerate_grover(5, 4, workers=2) == enumerate_grover(5, 4, workers=3)
+    assert pool_starts == [2, 3]
 
 
 def test_short_scans_run_in_process(monkeypatch):
@@ -381,8 +384,9 @@ def test_short_scans_run_in_process(monkeypatch):
         raise AssertionError("a pool was started for a short scan")
 
     monkeypatch.setattr(census.multiprocessing, "Pool", no_pool)
-    assert binom(16, 8) <= census.MIN_SHARD_PLACEMENTS
+    assert binom(16, 8) <= binom(32, 4) <= census.MIN_SHARD_PLACEMENTS
     assert enumerate_dj(4, workers=2) == enumerate_dj(4, workers=1)
+    assert enumerate_grover(5, 4, workers=2) == enumerate_grover(5, 4, workers=1)
     assert enumerate_grover(4, 4, workers=8) == enumerate_grover(4, 4, workers=1)
     assert (1 << 9) - 1 <= census.MIN_SHARD_CANDIDATES
     assert enumerate_simon(9, workers=8) == enumerate_simon(9, workers=1)

@@ -311,32 +311,27 @@ def test_census_json_validates_schema(runner):
         jsonschema.validate(json.loads(res.output), _schema("census-v1.json"))
 
 
-def test_census_workers_byte_identical(runner):
-    a = invoke(runner, "census", "dj", "--n", "3", "--exhaustive", "--workers", "1")
-    b = invoke(runner, "census", "dj", "--n", "3", "--exhaustive", "--workers", "8")
-    assert a.output == b.output
-    # long enough a scan to start a pool
-    grover = ("census", "grover", "--n", "5", "--m", "4", "--exhaustive", "--workers")
-    assert invoke(runner, *grover, "1").output == invoke(runner, *grover, "3").output
+def test_census_workers_byte_identical(runner, monkeypatch, pool_starts):
+    # DJ at n = 4 (12,870 placements) and Grover (5, 4) (35,960) in shards of
+    # at least 4,096: 2 and 3 workers start pools of 2 and 3 shards
+    monkeypatch.setattr(census, "MIN_SHARD_PLACEMENTS", 4096)
+    for scan in (("dj", "--n", "4"), ("grover", "--n", "5", "--m", "4")):
+        outs = [invoke(runner, "census", *scan, "--exhaustive", "--workers", workers).stdout_bytes
+                for workers in ("1", "2", "3")]
+        assert outs[0] == outs[1] == outs[2]
+    assert pool_starts == [2, 3, 2, 3]
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
-def test_census_simon_stdout_does_not_depend_on_the_worker_count(runner, monkeypatch, fmt):
+def test_census_simon_stdout_does_not_depend_on_the_worker_count(runner, monkeypatch,
+                                                                 pool_starts, fmt):
     # 255 periods in shards of at least 64: 2 and 5 workers start pools of 2
     # and 4 shards on a host of 4 cores
     monkeypatch.setattr(census, "MIN_SHARD_CANDIDATES", 64)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
-    started, pool = [], census.multiprocessing.Pool
-
-    def counted_pool(processes):
-        started.append(processes)
-        return pool(processes=processes)
-
-    monkeypatch.setattr(census.multiprocessing, "Pool", counted_pool)
     outs = [invoke(runner, "census", "simon", "--n", "8", "--exhaustive", "--format", fmt,
                    "--workers", workers).stdout_bytes for workers in ("1", "2", "5")]
     assert outs[0] == outs[1] == outs[2]
-    assert started == [2, 4]
+    assert pool_starts == [2, 4]
 
 
 @pytest.mark.parametrize("n, m", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqw import separability
 from eqw.errors import ResourceCapError
 from eqw.oracles import simon_canonical_state
 from eqw.rng import SplitMix64
@@ -12,6 +13,7 @@ from eqw.separability import (
     FACTOR_CAP,
     Bipartition,
     _cuts,
+    anf_block_sizes,
     classify,
     finest_factorization,
     full_separability_fast,
@@ -452,14 +454,13 @@ def test_factor_iff_schmidt_rank_one(fi):
 
 
 def test_sign_block_sizes_equal_the_sweep_exhaustively():
-    # every sign vector at n = 1..4, 65,812 in all
-    bad = [
-        (n, fi)
-        for n in range(1, 5)
-        for fi, s in all_sign_states(n)
-        if sign_block_sizes(n, fi) != finest_factorization(s).block_sizes()
-    ]
-    assert bad == []
+    # every sign vector at n = 1..4, 65,812 in all, through one kernel call
+    # per n and through the one-table call
+    for n in range(1, 5):
+        tables = range(1 << (1 << n))
+        want = [finest_factorization(s).block_sizes() for _, s in all_sign_states(n)]
+        assert list(anf_block_sizes(n, tables)) == want
+        assert [sign_block_sizes(n, t) for t in tables] == want
 
 
 def _planted_signs(rng: SplitMix64, n: int) -> tuple[int, ...]:
@@ -512,3 +513,82 @@ def test_sign_block_sizes_rejects_a_table_wider_than_2_to_the_n():
     for n, table in ((2, 1 << 4), (2, -1), (0, 0)):
         with pytest.raises(ValueError):
             sign_block_sizes(n, table)
+
+
+def _sweep_sizes(n: int, table: int) -> tuple[int, ...]:
+    return finest_factorization(state_from_function(BooleanFunction(n, table))).block_sizes()
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_anf_block_sizes_equal_the_sweep_over_several_chunks(n):
+    # one call over random, planted, all-zero, all-one and single-point
+    # tables, two full chunks and a partial third
+    lanes = separability._anf_masks(n)[1]
+    rng = SplitMix64(2700 + n)
+    full = (1 << (1 << n)) - 1
+    kinds = [
+        lambda: rng.bits(1 << n),
+        lambda: sum(1 << x for x, a in enumerate(_planted_signs(rng, n)) if a < 0),
+        lambda: 0,
+        lambda: full,
+        lambda: 1 << rng.below(1 << n),
+    ]
+    tables = [kinds[i % len(kinds)]() for i in range(2 * lanes + lanes // 2 + 1)]
+    assert list(anf_block_sizes(n, iter(tables))) == [_sweep_sizes(n, t) for t in tables]
+
+
+def test_anf_block_sizes_of_no_tables_is_empty():
+    for n in (1, 4, 12):
+        assert list(anf_block_sizes(n, [])) == []
+    with pytest.raises(ValueError):
+        list(anf_block_sizes(0, []))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 12])
+def test_anf_block_sizes_rejects_a_wide_table_anywhere_in_a_chunk(n):
+    # lanes at n = 1 and 2 are padded to a byte, so a wide table packs and is
+    # caught by the padding mask; from n = 3 its lane overflows instead, a
+    # machine word up to n = 6 and a byte string above
+    lanes = separability._anf_masks(n)[1]
+    size = 1 << n
+    for bad in (1 << size, (1 << max(8, size + 1)) - 1, -1):
+        for at in sorted({0, lanes // 2, lanes - 1, lanes, 2 * lanes - 1}):
+            tables = [0] * (2 * lanes)
+            tables[at] = bad
+            with pytest.raises(ValueError):
+                list(anf_block_sizes(n, tables))
+
+
+def test_anf_block_sizes_keeps_masks_per_n_and_none_above_the_cap():
+    # one small entry per n whatever the chunk counts, each mask a chunk's
+    # width; a 13-qubit call builds its masks and leaves them behind
+    separability._cached_anf_masks.cache_clear()
+    for count in (1, 7, 600, 1500):
+        list(anf_block_sizes(4, [0b0110] * count))
+        list(anf_block_sizes(5, [1] * count))
+    info = separability._cached_anf_masks.cache_info()
+    assert info.currsize == 2
+    _, _, pad, steps, pairs, _ = separability._anf_masks(FACTOR_CAP)
+    masks = [pad, pairs] + [m for _, hold, clear in steps for m in (hold, clear)]
+    assert max(m.bit_length() for m in masks) <= separability._ANF_CHUNK_BITS
+    n = FACTOR_CAP + 1
+    assert list(anf_block_sizes(n, [0, 1 << ((1 << n) - 1)])) == [(1,) * n, (n,)]
+    assert separability._cached_anf_masks.cache_info() == info
+
+
+def test_anf_block_sizes_keeps_a_bounded_graph_table():
+    # 1,500 quadratic functions on 6 qubits, each with its own graph: the
+    # table empties when full and its answers stay those of the sweep
+    n = 6
+    edges = [sum(1 << x for x in range(1 << n) if x >> b & x >> c & 1)
+             for b, c in combinations(range(n), 2)]
+    tables = []
+    for subset in range(1500):
+        table = 0
+        for bit, edge in enumerate(edges):
+            if subset >> bit & 1:
+                table ^= edge
+        tables.append(table)
+    assert list(anf_block_sizes(n, tables)) == [_sweep_sizes(n, t) for t in tables]
+    graphs = separability._cached_anf_masks(n)[-1]
+    assert 0 < len(graphs) <= separability._GRAPHS_HELD < len(tables)

@@ -150,3 +150,41 @@ def test_seeded_choices_come_from_one_keyed_permutation():
                     if isinstance(node, ast.ClassDef) and "Permutation" in node.name]
     assert shuffles == []
     assert defined == ["rng.KeyedPermutation"]
+
+
+def test_one_anf_kernel():
+    # the packed-lane ANF kernel holds the one Möbius step (x ^= (x << s) & m);
+    # the scans feed it whole iterables: no call to it in census or verify
+    # sits in a loop, a comprehension, a lambda or a nested function
+    kernel = {"anf_block_sizes", "sign_block_sizes"}
+    per_item = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                ast.Lambda, ast.FunctionDef)
+
+    def moebius_step(node) -> bool:
+        return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitXor)
+                and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.BitAnd)
+                and isinstance(node.value.left, ast.BinOp)
+                and isinstance(node.value.left.op, ast.LShift))
+
+    def kernel_calls(fn) -> list:
+        return [node for node in ast.walk(fn) if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) in kernel or getattr(node.func, "attr", None) in kernel)]
+
+    steps, functions = [], {}
+    for path in sorted(Path(eqw.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                functions[f"{path.stem}.{fn.name}"] = fn
+                steps += [f"{path.stem}.{fn.name}" for node in ast.walk(fn) if moebius_step(node)]
+    assert steps == ["separability.anf_block_sizes"]
+    callers = [name for name, fn in functions.items() if kernel_calls(fn)]
+    assert sorted(callers) == ["census._scan_placements", "separability.sign_block_sizes",
+                               "verify.check_lemma_decomposition"]
+    for scan in ("census._scan_placements", "verify.check_lemma_decomposition"):
+        looped = {id(node) for outer in ast.walk(functions[scan])
+                  if isinstance(outer, per_item) and outer is not functions[scan]
+                  for node in ast.walk(outer)}
+        assert not [call for call in kernel_calls(functions[scan]) if id(call) in looped], scan
+    assert not any(isinstance(node, per_item + (ast.comprehension,))
+                   for node in ast.walk(functions["separability.sign_block_sizes"])
+                   if node is not functions["separability.sign_block_sizes"])

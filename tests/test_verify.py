@@ -3,8 +3,8 @@ from click.testing import CliRunner
 
 from eqw import census, cli, verify
 from eqw.rng import SplitMix64
-from eqw.separability import wht
-from eqw.states import BooleanFunction, StateVector, state_from_function
+from eqw.separability import sign_block_sizes, wht
+from eqw.states import BooleanFunction, StateVector, state_from_function, uniform_state
 
 
 def test_parseval_scans_every_table_after_a_spectral_failure(monkeypatch):
@@ -53,6 +53,43 @@ def test_verify_stdout_does_not_depend_on_the_worker_count(fmt):
     }
     assert {res.exit_code for res in outs.values()} == {0}
     assert outs["1"].stdout_bytes == outs["2"].stdout_bytes == outs["5"].stdout_bytes
+
+
+def test_lemma_decomposition_stdout_does_not_depend_on_the_worker_count(monkeypatch,
+                                                                        pool_starts):
+    # n = 4's 12,870 balanced tables in shards of at least 1,024: 2 and 3
+    # workers start pools of 2 and 3 shards
+    monkeypatch.setattr(verify, "MIN_SHARD_CANDIDATES", 1024)
+    outs = [CliRunner().invoke(cli.main, ["verify", "--suite", "lemma", "--n", "2..4",
+                                          "--workers", workers], catch_exceptions=False)
+            for workers in ("1", "2", "3")]
+    assert [res.exit_code for res in outs] == [0, 0, 0]
+    assert outs[0].stdout_bytes == outs[1].stdout_bytes == outs[2].stdout_bytes
+    assert pool_starts == [2, 3]
+
+
+def test_screened_lemma_decomposition_reports_the_serial_counterexample(monkeypatch,
+                                                                        pool_starts):
+    # two splittable balanced tables are given the factors of the uniform
+    # state, which has no balanced block; forked workers carry the patch, and
+    # every worker count names the earlier one, as an unscreened scan would
+    monkeypatch.setattr(verify, "MIN_SHARD_CANDIDATES", 1024)
+    tables = list(census.placements(4, 8, range(12870)))
+    splittable = [t for t in tables if len(sign_block_sizes(4, t)) >= 2]
+    bad = {splittable[len(splittable) // 2], splittable[-3]}
+    real, unbalanced = verify.classify, verify.classify(uniform_state(4))
+
+    def classify(s):
+        table = sum(1 << x for x, a in enumerate(s.amps) if a < 0)
+        return unbalanced if table in bad else real(s)
+
+    monkeypatch.setattr(verify, "classify", classify)
+    first = min(bad, key=tables.index)
+    want = f"no balanced block for balanced table {BooleanFunction(4, first).bits()}"
+    for workers in (1, 2, 3):
+        _, decomposition = verify.verify_lemma([4], workers=workers)
+        assert (decomposition.status, decomposition.detail) == (verify.STATUS_FAIL, want)
+    assert pool_starts == [2, 3]
 
 
 @pytest.mark.parametrize("bad_in_first_shard", [False, True])
