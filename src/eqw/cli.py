@@ -55,21 +55,13 @@ EXIT_RESOURCE_CAP = 3
 FORMATS = click.Choice(["json", "csv", "table"])
 
 
-def _env_cap() -> int:
-    raw = os.environ.get("EQW_MAX_N")
-    if raw is None:
-        return 0
+def _effective_cap(default: int, max_n: int | None) -> int:
+    """The largest of the default, EQW_MAX_N and --max-n, where given."""
+    raw = os.environ.get("EQW_MAX_N", "0")
     try:
-        return int(raw)
+        return max(default, int(raw), default if max_n is None else max_n)
     except ValueError:
         raise ValueError(f"EQW_MAX_N must be an integer, got {raw!r}") from None
-
-
-def _effective_cap(default: int, max_n: int | None) -> int:
-    cap = max(default, _env_cap())
-    if max_n is not None:
-        cap = max(cap, max_n)
-    return cap
 
 
 def _guard(fn):
@@ -339,7 +331,7 @@ def verify_cmd(suite, n_range, workers, fmt):
 @_guard
 def asymptotics_cmd(max_n, fmt):
     """Per-n log2 fractions: exact, Stirling form, and the vanishing bounds."""
-    cap = max(census_mod.FRACTION_CAP, _env_cap())
+    cap = _effective_cap(census_mod.FRACTION_CAP, None)
     header = ["n", "sep_exact_log2", "sep_stirling_log2", "bisep_bound_log2",
               "grover_m2_log2", "grover_m4_log2"]
     rows = []

@@ -84,27 +84,17 @@ class SimonInstance:
         size = len(table)
         if size.bit_length() != self.n + 1 or size != 1 << self.n:  # a huge n builds no 2^n
             raise ValueError("table must cover all 2^n inputs")
-        # Once outputs are in range and periodic, no output is shared beyond
-        # its coset exactly when there is one output per coset.
-        if (
-            min(table) < 0
-            or max(table) >= size
-            or list(table) != [table[x ^ r] for x in range(size)]
-            or len(set(table)) != size >> 1
-        ):
-            self._raise_first_fault()
-
-    def _raise_first_fault(self) -> None:
-        """Walk the table in input order and raise for its first fault."""
-        for x, out in enumerate(self.table):
-            if not 0 <= out < (1 << self.n):
+        # In range, periodic, and no output shared by two cosets: one output per
+        # coset. Range and periodicity faults are named first, in input order.
+        for x, out in enumerate(table):
+            if not 0 <= out < size:
                 raise ValueError(f"output {out} is not an {self.n}-bit value")
-            if out != self.table[x ^ self.r]:
+            if out != table[x ^ r]:
                 raise ValueError(f"table breaks periodicity at input {x}")
         seen: dict[int, int] = {}
-        for x, out in enumerate(self.table):
+        for x, out in enumerate(table):
             prev = seen.setdefault(out, x)
-            if prev != x and prev != (x ^ self.r):
+            if prev != x and prev != (x ^ r):
                 raise ValueError(f"output {out} is shared beyond its period coset")
 
     def r_bits(self) -> str:

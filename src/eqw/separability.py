@@ -74,12 +74,6 @@ def _index_maps(n: int, subset: tuple[int, ...]) -> tuple[tuple[int, ...], tuple
     return offsets(subset), offsets(q for q in range(1, n + 1) if q not in subset)
 
 
-def _reshape(s: StateVector, p: Bipartition) -> list[list[int]]:
-    rows, cols = _index_maps(s.m, p.subset)
-    amps = s.amps
-    return [[amps[r | c] for c in cols] for r in rows]
-
-
 def _content_reduced(vec: list[int]) -> list[int]:
     g = math.gcd(*vec)
     return [v // g for v in vec]
@@ -207,20 +201,31 @@ def _cuts(m: int) -> Iterable[Bipartition]:
 def _split_blocks(
     qubits: tuple[int, ...], s: StateVector
 ) -> list[tuple[tuple[int, ...], StateVector]]:
-    m = len(qubits)
-    if m == 1:
-        return [(qubits, s)]
-    support = list(compress(range(1 << m), s.amps))
-    hint = [support[0]]
-    for p in _cuts(m):
-        res = try_factor(s, p, support=support, hint=hint)
-        if res is None:
-            continue
-        factor, cofactor = res
-        fq = tuple(qubits[i - 1] for i in p.subset)
-        cq = tuple(qubits[i - 1] for i in p.complement)
-        return _split_blocks(fq, factor) + _split_blocks(cq, cofactor)
-    return [(qubits, s)]
+    """Peel finest blocks one per step. Cuts go by subset size and split iff
+    their subset is a union of blocks, so the first subset to split is a
+    smallest block (one of two, at a half-size cut). It is kept as found, and
+    the cofactor's sweep starts at cuts of its size.
+    """
+    blocks = []
+    least = 1  # no block left has fewer qubits
+    while (m := len(qubits)) > 1:
+        support = list(compress(range(1 << m), s.amps))
+        hint = [support[0]]
+        cuts = _cuts(m)
+        if least > 1:  # skip the smaller cuts without a test, so a GME sweep pays nothing
+            cuts = islice(cuts, sum(math.comb(m, k) for k in range(1, least)), None)
+        for p in cuts:
+            res = try_factor(s, p, support=support, hint=hint)
+            if res is not None:
+                break
+        else:
+            break
+        factor, s = res
+        blocks.append((tuple(qubits[i - 1] for i in p.subset), factor))
+        qubits = tuple(qubits[i - 1] for i in p.complement)
+        least = len(p.subset)
+    blocks.append((qubits, s))
+    return blocks
 
 
 def check_factor_cap(n: int, cap: int = FACTOR_CAP) -> None:
@@ -457,30 +462,23 @@ def full_separability_fast(s: StateVector) -> Optional[tuple[LinearForm, int]]:
 def schmidt_rank(s: StateVector, p: Bipartition) -> int:
     """Exact rank of the reshaped coefficient matrix at a bipartition.
 
-    Integer Gaussian elimination with gcd reduction per row, so the result
-    is exact for arbitrary-precision amplitudes.
+    Integer row-echelon form: each gcd-reduced row is cross-multiplied with
+    the kept row of its lead (first nonzero column) until it is zero or its
+    lead is new, and is kept there. Each kept row has a lead no other kept
+    row has, so the rank is their number.
     """
-    mat = [row[:] for row in _reshape(s, p) if any(row)]
-    ncols = 1 << (s.m - len(p.subset))
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][c]:
-                pivot = i
+    rows, cols = _index_maps(s.m, p.subset)
+    kept: dict[int, list[int]] = {}
+    for r in rows:
+        row = [s.amps[r | c] for c in cols]
+        while g := math.gcd(*row):
+            if g > 1:
+                row = [x // g for x in row]
+            lead = next(compress(range(len(row)), row))
+            if lead not in kept:
+                kept[lead] = row
                 break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        pval = prow[c]
-        for i in range(rank + 1, len(mat)):
-            val = mat[i][c]
-            if val:
-                row = [pval * a - val * b for a, b in zip(mat[i], prow)]
-                if any(row):
-                    g = math.gcd(*row)
-                    row = [x // g for x in row]
-                mat[i] = row
-        rank += 1
-    return rank
+            pivot = kept[lead]
+            a, b = pivot[lead], row[lead]
+            row = [a * x - b * y for x, y in zip(row, pivot)]
+    return len(kept)

@@ -1,6 +1,7 @@
 """Shared helpers: independent oracles used to cross-check library results."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -86,6 +87,32 @@ def fraction_rank(matrix: list[list[int]]) -> int:
             if i != rank and mat[i][c] != 0:
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
+        rank += 1
+    return rank
+
+
+def elimination_rank(matrix: list[list[int]]) -> int:
+    """Rank by integer Gaussian elimination, column by column: a pivot search,
+    a row swap, and gcd reduction of every eliminated row. The reference for
+    ``schmidt_rank``'s row-echelon loop."""
+    mat = [row[:] for row in matrix if any(row)]
+    ncols = len(matrix[0]) if matrix else 0
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        pval = prow[c]
+        for i in range(rank + 1, len(mat)):
+            val = mat[i][c]
+            if val:
+                row = [pval * a - val * b for a, b in zip(mat[i], prow)]
+                if any(row):
+                    g = math.gcd(*row)
+                    row = [x // g for x in row]
+                mat[i] = row
         rank += 1
     return rank
 

@@ -13,6 +13,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eqw
 import eqw.cli as cli
@@ -530,3 +532,148 @@ def test_in_process_commands_free_their_output_streams(runner):
         runner.invoke(main, ["census", "dj", "--n", "5", "--exhaustive"])
         counts.append(live_text_streams())
     assert counts[-1] <= counts[0]
+
+
+# ---------------------------------------------------------------- CLI contract
+
+CONTRACT_NS = [-1, 0, 1, 2, 3, 13, 10 ** 12]
+# every edge value, and as often n = 2 or 3, which most flags accept
+QUBITS = st.one_of(st.sampled_from(CONTRACT_NS), st.sampled_from([2, 3]))
+BLANKS = ["", " ", "\t"]
+FORMAT_FLAGS = st.sampled_from(["json", "csv", "table"]).map(lambda f: ["--format", f])
+SEED_FLAGS = st.one_of(st.just([]), st.sampled_from([-1, 0, 7, 2 ** 64]).map(
+    lambda s: ["--seed", str(s)]))
+
+
+def _bit_strings(n: int) -> st.SearchStrategy:
+    """Bit strings of length n and n +- 1, where those lengths exist, and blanks."""
+    lengths = [k for k in (n - 1, n, n + 1) if 0 <= k <= 16]
+    return st.one_of(st.sampled_from(BLANKS + ["2", "1" * 20]),
+                     *(st.text("01", min_size=k, max_size=k) for k in lengths))
+
+
+def _truth_tables(n: int) -> st.SearchStrategy:
+    """Binary tables of 2^n - 1, 2^n and 2^n + 1 characters at small n, hex
+    tables that fit 2^n bits or are one bit too wide, blanks and junk."""
+    junk = st.sampled_from(BLANKS + ["0x", "0xg", "01", "0x1", "0x" + "f" * 40])
+    if not 0 <= n <= 3:
+        return st.one_of(junk, st.just("0" * (1 << 13) if n == 13 else "0110"))
+    size = 1 << n
+    return st.one_of(
+        junk,
+        *(st.text("01", min_size=k, max_size=k) for k in (size - 1, size, size + 1) if k),
+        st.integers(0, (1 << size) - 1).map(hex),
+        st.just(hex(1 << size)),
+    )
+
+
+@st.composite
+def _classify_argv(draw):
+    n = draw(QUBITS)
+    sources = {"--truth-table": _truth_tables(n), "--simon-r": _bit_strings(n),
+               "--bv-a": _bit_strings(n)}
+    count = draw(st.sampled_from([1, 1, 1, 0, 2]))  # mostly the one source the command needs
+    argv = ["classify", "--n", str(n)]
+    for flag in draw(st.permutations(sorted(sources)))[:count]:
+        argv += [flag, draw(sources[flag])]
+    return argv + draw(FORMAT_FLAGS)
+
+
+@st.composite
+def _simulate_argv(draw):
+    algorithm = draw(st.sampled_from(["dj", "grover", "simon"]))
+    n = draw(QUBITS)
+    argv = ["simulate", algorithm, "--n", str(n)]
+    if algorithm == "dj":
+        argv += draw(st.one_of(st.just([]), _truth_tables(n).map(lambda t: ["--truth-table", t])))
+    elif algorithm == "grover":
+        small = [(1 << n) - 1, 1 << n] if 0 <= n <= 13 else []
+        m = st.sampled_from([-1, 0, 1, 2, 3, 10 ** 12] + small).map(lambda m: ["--m", str(m)])
+        solutions = st.sampled_from(BLANKS + ["0", "0,1", "-1", "x", "1,,2", "7", "3,3"]).map(
+            lambda s: ["--solutions", s])
+        argv += draw(st.one_of(st.just([]), m, solutions, st.tuples(m, solutions).map(
+            lambda pair: pair[0] + pair[1])))
+    else:
+        source = st.one_of(st.just([]), _bit_strings(n).map(lambda r: ["--r", r]),
+                           st.sampled_from(["valid", "faulty", "not-json", "missing", "dir"]).map(
+                               lambda f: ["--instance", f"<instance:{f}>"]))
+        out = st.one_of(st.just([]), st.sampled_from(["writable", "unwritable", "dir"]).map(
+            lambda f: ["--instance-out", f"<out:{f}>"]))
+        argv += draw(source) + draw(out)
+    return argv + draw(SEED_FLAGS) + draw(FORMAT_FLAGS)
+
+
+@st.composite
+def _census_argv(draw):
+    algorithm = draw(st.sampled_from(["dj", "grover", "simon"]))
+    n = draw(QUBITS)  # every n is <= 4 or above a cap
+    argv = ["census", algorithm, "--n", str(n)]
+    if algorithm == "grover" and draw(st.booleans()):
+        small = [(1 << n) - 1, 1 << n] if 0 <= n <= 13 else []
+        argv += ["--m", str(draw(st.sampled_from([-1, 0, 1, 2, 3, 10 ** 12] + small)))]
+    if draw(st.booleans()):
+        argv.append("--exhaustive")
+    return argv + ["--workers", "1"] + draw(FORMAT_FLAGS)
+
+
+@st.composite
+def _verify_argv(draw):
+    suite = draw(st.sampled_from(["dj", "grover", "simon", "lemma", "wht", "all"]))
+    # ranges within 2..3, over the cap, or malformed
+    n = draw(st.sampled_from(BLANKS + ["2", "3", "2..3", " 2..3 ", "13", "2..13", "12..13",
+                                      "1000000000000", "2..1000000000000", "x..3", "3..2",
+                                      "-1", "0", "1", "0..3", "2..", "..3"]))
+    return ["verify", "--suite", suite, "--n", n, "--workers", "1"] + draw(FORMAT_FLAGS)
+
+
+@st.composite
+def _asymptotics_argv(draw):
+    # --max-n is this command's table length; EQW_MAX_N is not set
+    rows = draw(st.one_of(st.just([]), st.sampled_from(CONTRACT_NS).map(
+        lambda n: ["--max-n", str(n)])))
+    return ["asymptotics"] + rows + draw(FORMAT_FLAGS)
+
+
+@pytest.fixture(scope="module")
+def contract_paths(tmp_path_factory) -> dict[str, str]:
+    """Paths the contract argv name by placeholder: --instance files valid
+    for n = 3, faulty, not JSON, missing or a directory, and --instance-out
+    paths that can and cannot be written."""
+    root = tmp_path_factory.mktemp("cli-contract")
+    faulty = dict(SIMON_INSTANCE, table=["011", "000", "101", "110", "000", "011", "110", "111"])
+    (root / "valid.json").write_text(json.dumps(SIMON_INSTANCE))
+    (root / "faulty.json").write_text(json.dumps(faulty))
+    (root / "not-json.json").write_text("{")
+    return {
+        "<instance:valid>": str(root / "valid.json"),
+        "<instance:faulty>": str(root / "faulty.json"),
+        "<instance:not-json>": str(root / "not-json.json"),
+        "<instance:missing>": str(root / "absent.json"),
+        "<instance:dir>": str(root),
+        "<out:writable>": str(root / "out.json"),
+        "<out:unwritable>": str(root / "no-such-dir" / "out.json"),
+        "<out:dir>": str(root),
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.one_of(_classify_argv(), _simulate_argv(), _census_argv(), _verify_argv(),
+                 _asymptotics_argv()))
+def test_every_argv_ends_in_a_documented_exit_code(contract_paths, argv):
+    argv = [contract_paths.get(arg, arg) for arg in argv]
+    res = CliRunner().invoke(main, argv)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    assert res.exit_code in (0, 1, 2, 3)
+    assert res.exit_code != 1 or argv[0] == "verify"
+    assert "Traceback" not in res.stdout + res.stderr
+    if res.exit_code in (2, 3):
+        assert res.stdout == ""
+    if res.exit_code == 0 and argv[-1] == "json":
+        data = json.loads(res.stdout)
+        if argv[0] == "classify":
+            jsonschema.validate(data, _schema("report-v1.json"))
+        elif argv[0] == "simulate":
+            jsonschema.validate(data["report"], _schema("report-v1.json"))
+        elif argv[0] == "census":
+            jsonschema.validate(data, _schema("census-v1.json"))

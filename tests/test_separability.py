@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from eqw import separability
 from eqw.errors import ResourceCapError
-from eqw.oracles import simon_canonical_state
+from eqw.oracles import make_simon_instance, simon_canonical_state, simon_global_state
 from eqw.rng import SplitMix64
 from eqw.separability import (
     FACTOR_CAP,
@@ -36,6 +36,7 @@ from eqw.states import (
 
 from conftest import (
     all_sign_states,
+    elimination_rank,
     fraction_rank,
     interleave_product,
     loop_hadamard_all,
@@ -433,6 +434,134 @@ def test_try_factor_requires_a_rectangular_support():
                 assert try_factor(s, p) is None
                 assert schmidt_rank(s, p) == 2
         assert classify(s).q == 1
+
+
+def _small_entries(rng: SplitMix64, size: int) -> list[int]:
+    """Entries in -3..3, about half of them zero, not all zero."""
+    while True:
+        out = [rng.below(7) - 3 if rng.below(2) else 0 for _ in range(size)]
+        if any(out):
+            return out
+
+
+def _sum_of_products(rng: SplitMix64, n: int, subset: tuple[int, ...], terms: int,
+                     entry) -> StateVector:
+    """Sum of ``terms`` products u (x) v across the cut at subset, not all zero."""
+    while True:
+        amps = [0] * (1 << n)
+        for _ in range(terms):
+            u = [entry() for _ in range(1 << len(subset))]
+            v = [entry() for _ in range(1 << (n - len(subset)))]
+            amps = [a + b for a, b in zip(amps, interleave_product(n, subset, u, v))]
+        if any(amps):
+            return StateVector(n, tuple(amps))
+
+
+def _assert_rank_matches_elimination(s: StateVector, subsets) -> None:
+    for subset in subsets:
+        p = Bipartition(s.m, subset)
+        assert schmidt_rank(s, p) == elimination_rank(_oracle_matrix(s, p.subset)), subset
+
+
+def test_schmidt_rank_matches_the_elimination_reference():
+    rng = SplitMix64(911)
+    for n in range(2, 9):
+        if n <= 5:
+            subsets = [c for k in range(1, n) for c in combinations(range(1, n + 1), k)]
+        else:  # the leading cut of every size, and one scattered cut
+            subsets = [tuple(range(1, k + 1)) for k in range(1, n)] + [tuple(range(1, n + 1, 2))]
+        for _ in range(6):
+            _assert_rank_matches_elimination(StateVector(n, tuple(_small_entries(rng, 1 << n))),
+                                             subsets)
+    # sums of 1-4 rank-1 terms: rank at most the term count at the planted cut
+    for n in range(2, 8):
+        for terms in range(1, 5):
+            k = 1 + rng.below(n - 1)
+            qubits = list(range(1, n + 1))
+            _shuffle(rng, qubits)
+            planted = tuple(sorted(qubits[:k]))
+            s = _sum_of_products(rng, n, planted, terms, lambda: rng.below(7) - 3)
+            assert schmidt_rank(s, Bipartition(n, planted)) <= terms
+            _assert_rank_matches_elimination(s, [planted, (1,), tuple(range(1, n // 2 + 1))])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_schmidt_rank_of_the_simon_register_cut_matches_the_elimination_reference(n):
+    for r in sorted({1, (1 << n) - 1, 1 << (n - 1)}):
+        s = simon_global_state(make_simon_instance(n, r, seed=17 * n + r))
+        cut = tuple(range(1, n + 1))
+        assert schmidt_rank(s, Bipartition(2 * n, cut)) == 1 << (n - 1)
+        _assert_rank_matches_elimination(s, [cut, (1, n + 1)])
+
+
+def test_schmidt_rank_with_thirty_digit_entries_matches_the_elimination_reference():
+    # four products with entries up to 10^30 at the cut (1..5), summed: the
+    # eliminated rows must cancel exactly
+    rng = SplitMix64(913)
+    big = 10 ** 30
+    s = _sum_of_products(rng, 10, (1, 2, 3, 4, 5), 4,
+                         lambda: rng.below(2 * big + 1) - big if rng.below(4) else 0)
+    assert schmidt_rank(s, Bipartition(10, (1, 2, 3, 4, 5))) == 4
+    _assert_rank_matches_elimination(s, [(1, 2, 3, 4, 5), (2, 4, 6, 8, 10), (1, 2)])
+
+
+def _entangled_factor(rng: SplitMix64, k: int) -> list[int]:
+    """Entries in -3..3 with zeros, on k qubits, with rank above 1 at every cut."""
+    while True:
+        f = _small_entries(rng, 1 << k)
+        s = StateVector(k, tuple(f))
+        if all(fraction_rank(_oracle_matrix(s, c)) > 1
+               for t in range(1, k) for c in combinations(range(1, k + 1), t)):
+            return f
+
+
+def _planted_blocks(rng: SplitMix64, sizes: list[int]) -> tuple[list[tuple[int, ...]], tuple]:
+    """Blocks of the given sizes on shuffled qubits, and the product of one
+    entangled factor per block, assembled from each basis index's bits."""
+    n = sum(sizes)
+    qubits = list(range(1, n + 1))
+    _shuffle(rng, qubits)
+    blocks = [tuple(sorted(qubits[sum(sizes[:i]):sum(sizes[:i + 1])])) for i in range(len(sizes))]
+    factors = [_entangled_factor(rng, k) for k in sizes]
+    amps = []
+    for x in range(1 << n):
+        a = 1
+        for qs, f in zip(blocks, factors):
+            a *= f[sum(((x >> (n - q)) & 1) << (len(qs) - 1 - i) for i, q in enumerate(qs))]
+        amps.append(a)
+    return sorted(blocks), tuple(amps)
+
+
+def test_the_sweep_peels_each_block_once_and_skips_cuts_below_the_last_block(monkeypatch):
+    calls = []
+    real = separability.try_factor
+
+    def recording(s, p, **kwargs):
+        res = real(s, p, **kwargs)
+        calls.append((s, p, res))
+        return res
+
+    monkeypatch.setattr(separability, "try_factor", recording)
+    rng = SplitMix64(912)
+    for sizes in ([1, 1, 1], [2, 2, 2], [3, 1, 2], [2, 3, 4], [4, 4, 1], [2, 2, 2, 2],
+                  [1, 3, 1, 2], [3, 3, 3]):
+        for _ in range(3):
+            _shuffle(rng, sizes)
+            blocks, amps = _planted_blocks(rng, sizes)
+            calls.clear()
+            fac = finest_factorization(StateVector(len(amps).bit_length() - 1, amps))
+            assert list(fac.block_index_sets()) == blocks
+            back = fac.reassemble().amps
+            x0 = next(x for x, a in enumerate(amps) if a)
+            assert back[x0] * amps[x0] > 0
+            assert all(back[x0] * a == amps[x0] * b for a, b in zip(amps, back))
+            peeled = []
+            for s, p, res in calls:
+                assert not any(s is f for f in peeled), "a peeled block was swept again"
+                assert all(len(p.subset) >= f.m for f in peeled), "a cut below a peeled block"
+                if res is not None:
+                    peeled.append(res[0])
+            assert sorted(f.m for f in peeled) == sorted(sizes)[:-1]
 
 
 def test_schmidt_rank_known_values():

@@ -50,6 +50,19 @@ def test_sweep_keeps_the_names_the_benchmark_reads():
     assert callable(separability._index_maps.cache_info)
 
 
+def test_the_sweep_does_not_call_itself():
+    # _split_blocks peels one finest block per step in a loop; a recursive
+    # sweep would try every cut of each block it had already split off
+    tree = ast.parse(Path(separability.__file__).read_text())
+    sweep = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_split_blocks"
+    )
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(sweep) if isinstance(node, ast.Call)}
+    assert "try_factor" in called and "_split_blocks" not in called
+
+
 def test_oracles_prepare_states_without_the_factorization_engine():
     # the preparation layer checks its target qubit by its own identity, so
     # what it prints does not hang on the sweep's factor-sign convention
