@@ -43,8 +43,6 @@ from .census import (
     CensusRow,
     DjFractions,
     GroverCounts,
-    LogFraction,
-    SimonCensus,
     binom,
     count_balanced,
     count_balanced_fully_separable,

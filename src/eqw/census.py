@@ -153,27 +153,13 @@ def _log2_factorial(k: int) -> float:
 
 
 @dataclass(frozen=True)
-class LogFraction:
-    """A ratio carried in log2 space: ratio = numerator / denominator."""
-
-    log2_numerator: float
-    log2_denominator: float
-    log2_ratio: float
-
-    @classmethod
-    def of(cls, log2_numerator: float, log2_denominator: float) -> "LogFraction":
-        return cls(log2_numerator, log2_denominator, log2_numerator - log2_denominator)
-
-
-@dataclass(frozen=True)
 class DjFractions:
-    """Separable-fraction values for one n: exact, Stirling form, and the
-    biseparable bound."""
+    """log2 of each separable fraction for one n: exact, Stirling form, and
+    the biseparable bound."""
 
-    n: int
-    sep_exact: LogFraction
-    sep_asymptotic: LogFraction
-    bisep_bound: LogFraction
+    sep_exact: float
+    sep_asymptotic: float
+    bisep_bound: float
 
 
 def dj_fractions(n: int, cap: int = FRACTION_CAP) -> DjFractions:
@@ -181,26 +167,22 @@ def dj_fractions(n: int, cap: int = FRACTION_CAP) -> DjFractions:
 
     sep_exact is log2 of 2 (2^n - 1) (2^(n-1)!)^2 / 2^n!; sep_asymptotic is
     its Stirling form sqrt(2 pi) (2^n - 1) 2^(n/2) / 2^(2^n); bisep_bound is
-    sqrt(2 pi) n^2 2^(n/2) / 2^(2^(n-1)).
+    sqrt(2 pi) n^2 2^(n/2) / 2^(2^(n-1)). Past n = 1014, log2(2^n!) overflows
+    a float, and such an n is refused whatever the cap.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > cap:
         raise ResourceCapError(f"fractions capped at n = {cap}, got {n}")
     half = 1 << (n - 1)
-    exact = LogFraction.of(
-        log2_int(2 * ((1 << n) - 1)) + 2.0 * _log2_factorial(half),
-        _log2_factorial(1 << n),
-    )
-    asym = LogFraction.of(
-        _LOG2_SQRT_2PI + log2_int((1 << n) - 1) + n / 2.0,
-        float(1 << n),
-    )
-    bound = LogFraction.of(
-        _LOG2_SQRT_2PI + 2.0 * math.log2(n) + n / 2.0,
-        float(half),
-    )
-    return DjFractions(n, exact, asym, bound)
+    try:
+        return DjFractions(
+            log2_int(2 * ((1 << n) - 1)) + 2.0 * _log2_factorial(half) - _log2_factorial(1 << n),
+            _LOG2_SQRT_2PI + log2_int((1 << n) - 1) + n / 2.0 - (1 << n),
+            _LOG2_SQRT_2PI + 2.0 * math.log2(n) + n / 2.0 - half,
+        )
+    except OverflowError:
+        raise ResourceCapError(f"fractions overflow a float at n = {n}") from None
 
 
 def grover_bisep_fraction_log2(n: int, m: int) -> float:
@@ -221,16 +203,15 @@ class GroverCounts:
     total: int
     bisep_formula: int
     jsep_form_count: Optional[int]
-    fully_entangled_formula: Optional[int]
     outside_regime: bool
 
 
 def count_grover(n: int, m: int) -> GroverCounts:
-    """Total, biseparable, power-of-two form, and odd-M counts for (n, M).
+    """Total, biseparable and power-of-two form counts for (n, M).
 
     The outside_regime flag marks M^2 >= 2^n, where the biseparable closed
-    form stops bounding the distinct count; odd M means no tensor split at
-    all, so the fully-entangled count equals the total.
+    form stops bounding the distinct count. Odd M admits no tensor split,
+    so its biseparable count is 0 and its fully-entangled count is the total.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -243,8 +224,7 @@ def count_grover(n: int, m: int) -> GroverCounts:
     if m & (m - 1) == 0:
         k = m.bit_length() - 1
         jsep = (1 << (n - k)) * binom(n, k)
-    fully = total if m % 2 == 1 else None
-    return GroverCounts(n, m, total, bisep, jsep, fully, m * m >= (1 << n))
+    return GroverCounts(n, m, total, bisep, jsep, m * m >= (1 << n))
 
 
 @dataclass(frozen=True)
@@ -254,22 +234,12 @@ class SimonWeightClass:
     q: int
 
 
-@dataclass(frozen=True)
-class SimonCensus:
-    """Period-weight histogram of collapsed-state classes, plus the modal weight."""
-
-    n: int
-    rows: tuple[SimonWeightClass, ...]
-    modal_weight: int
-
-
-def count_simon(n: int) -> SimonCensus:
+def count_simon(n: int) -> tuple[SimonWeightClass, ...]:
     """B(n, k) periods of weight k, each collapsing to a class with q = n-k+1."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _refuse_long_counts(n, 1)  # 2^n - 1 is too long exactly when B(2^n, 1) = 2^n is
-    rows = tuple(SimonWeightClass(k, binom(n, k), n - k + 1) for k in range(1, n + 1))
-    return SimonCensus(n, rows, n // 2)
+    return tuple(SimonWeightClass(k, binom(n, k), n - k + 1) for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -480,9 +450,7 @@ def _grover_rows(
     outside = "outside the M^2 < 2^n regime; {} {} not asserted"
     rows = [("total", gc.total, sum(q), RELATION_EQUAL, None)]
     if m % 2 == 1:
-        rows.append(
-            ("fully-entangled", gc.fully_entangled_formula, q[1], RELATION_EQUAL, None)
-        )
+        rows.append(("fully-entangled", gc.total, q[1], RELATION_EQUAL, None))
         rows.append(
             (
                 "biseparable",
@@ -550,9 +518,11 @@ def grover_formula_report(n: int, m: int) -> CensusReport:
     return CensusReport("grover", n, _grover_rows(gc, None), m=m)
 
 
-def _simon_rows(sc: SimonCensus, classes: Optional[Counter]) -> tuple[CensusRow, ...]:
-    """Simon rows from the (period weight, collapsed q) histogram, or closed
-    forms only when classes is None."""
+def _simon_rows(n: int, weights: tuple[SimonWeightClass, ...],
+                classes: Optional[Counter]) -> tuple[CensusRow, ...]:
+    """Simon rows from count_simon(n) and the (period weight, collapsed q)
+    histogram, or closed forms only when classes is None; the modal weight
+    is n // 2."""
     found = classes or Counter()
     periods = sum(found.values())
     rows = [
@@ -563,10 +533,10 @@ def _simon_rows(sc: SimonCensus, classes: Optional[Counter]) -> tuple[CensusRow,
             RELATION_EQUAL,
             f"collapsed class q = {row.q}",
         )
-        for row in sc.rows
+        for row in weights
     ]
-    rows.append(("total-nonzero-periods", (1 << sc.n) - 1, periods, RELATION_EQUAL, None))
-    rows.append(("modal-weight", sc.modal_weight, None, RELATION_FORMULA_ONLY, None))
+    rows.append(("total-nonzero-periods", (1 << n) - 1, periods, RELATION_EQUAL, None))
+    rows.append(("modal-weight", n // 2, None, RELATION_FORMULA_ONLY, None))
     return _report_rows(rows, classes is not None)
 
 
@@ -580,12 +550,12 @@ def _simon_classes(n: int, cap: int, periods: range) -> Counter:
 
 def enumerate_simon(n: int, workers: int = 1, cap: int = FACTOR_CAP) -> CensusReport:
     """Classify the collapsed state of every nonzero period on n qubits."""
-    sc = count_simon(n)
+    weights = count_simon(n)
     check_factor_cap(n, cap)
     shards = pool_map(partial(_simon_classes, n, cap), range(1, 1 << n), workers,
                       MIN_SHARD_CANDIDATES)
-    return CensusReport("simon", n, _simon_rows(sc, sum(shards, Counter())))
+    return CensusReport("simon", n, _simon_rows(n, weights, sum(shards, Counter())))
 
 
 def simon_formula_report(n: int) -> CensusReport:
-    return CensusReport("simon", n, _simon_rows(count_simon(n), None))
+    return CensusReport("simon", n, _simon_rows(n, count_simon(n), None))

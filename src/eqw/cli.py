@@ -137,15 +137,16 @@ def classify_cmd(n, truth_table, simon_r, bv_a, fmt, max_n):
         f = parse_function(n, truth_table)
     elif simon_r is not None:
         period = parse_period(n, simon_r)
-    elif len(bv_a) != n or not set(bv_a) <= {"0", "1"}:
-        raise ValueError(f"--bv-a must be an {n}-bit string, got {bv_a!r}")
+    else:
+        require_qubit_count(n)
+        if len(bv_a) != n or not set(bv_a) <= {"0", "1"}:
+            raise ValueError(f"--bv-a must be an {n}-bit string, got {bv_a!r}")
     cap = _effective_cap(FACTOR_CAP, max_n)
     check_factor_cap(n, cap)
     if simon_r is not None:
         state = simon_canonical_state(n, period)
     else:
         if bv_a is not None:
-            require_qubit_count(n)  # an empty --bv-a passes the bit-string check at n = 0
             f = bv_function(LinearForm(n, int(bv_a, 2)))
         state = state_from_function(f)
     payload = classify(state, cap=cap).to_dict()
@@ -203,8 +204,12 @@ def simulate_cmd(algorithm, n, truth_table, m, solutions, r, seed, instance_path
     cap = _effective_cap(FACTOR_CAP, max_n)
     if algorithm == "simon":
         if instance_path is not None:
-            with open(instance_path, "r", encoding="utf-8") as fh:
-                inst = SimonInstance.from_dict(json.load(fh))
+            try:
+                with open(instance_path, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"--instance {instance_path} is not JSON: {exc}") from None
+            inst = SimonInstance.from_dict(data)
             if inst.n != n:
                 raise ValueError(f"--n {n} does not match the instance's n = {inst.n}")
             check_factor_cap(n, cap)
@@ -339,9 +344,9 @@ def asymptotics_cmd(max_n, fmt):
         fr = dj_fractions(n, cap=cap)
         rows.append(dict(zip(header, (
             n,
-            fr.sep_exact.log2_ratio,
-            fr.sep_asymptotic.log2_ratio,
-            fr.bisep_bound.log2_ratio,
+            fr.sep_exact,
+            fr.sep_asymptotic,
+            fr.bisep_bound,
             grover_bisep_fraction_log2(n, 2),
             grover_bisep_fraction_log2(n, 4) if (1 << n) > 4 else None,
         ))))

@@ -112,15 +112,18 @@ class SimonInstance:
         """Inverse of to_dict; a malformed instance raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("instance must be a JSON object with fields n, r and table")
-        try:
-            n = int(data["n"])
-            r = int(str(data["r"]), 2)
-            table = tuple(int(str(v), 2) for v in data["table"])
-        except KeyError as exc:
-            raise ValueError(f"instance has no field {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed instance: {exc}") from None
-        return cls(n, r, table)
+        fields = (("n", int, "an integer"),
+                  ("r", lambda r: int(str(r), 2), "a bit string"),
+                  ("table", lambda t: tuple(int(str(v), 2) for v in t), "a list of bit strings"))
+        values = []
+        for name, parse, kind in fields:
+            if name not in data:
+                raise ValueError(f"instance has no field {name!r}")
+            try:
+                values.append(parse(data[name]))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"malformed instance: field {name!r} must be {kind}") from None
+        return cls(*values)
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,8 @@ def verify_lemma(ns: Sequence[int], workers: int = 1) -> list[Check]:
         if n > 4:
             checks.append(Check("lemma", f"product-direction n={n}", STATUS_INFO,
                                 "skipped: exhaustive product enumeration runs up to n = 4"))
+            checks.append(Check("lemma", f"decomposition-direction n={n}", STATUS_INFO,
+                                "skipped: exhaustive balanced-vector scan runs up to n = 4"))
         else:
             checks += [
                 check_lemma_product(n),

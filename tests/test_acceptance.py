@@ -130,7 +130,7 @@ def test_criterion_3_dj_entanglement_trend(capsys):
         problems.append(f"entangled fraction not increasing: {fractions}")
     t_formula = time.monotonic()
     fr = dj_fractions(14)
-    gap = abs(fr.sep_asymptotic.log2_ratio - fr.sep_exact.log2_ratio)
+    gap = abs(fr.sep_asymptotic - fr.sep_exact)
     if gap >= 0.02:
         problems.append(f"Stirling gap at n=14 is {gap:.4f} >= 0.02")
     formula_elapsed = time.monotonic() - t_formula

@@ -7,6 +7,7 @@ import pytest
 from eqw import census
 from eqw.census import (
     CensusRow,
+    SimonWeightClass,
     binom,
     count_balanced,
     count_balanced_fully_separable,
@@ -115,44 +116,49 @@ def test_dj_bisep_upper_values_and_form_equality():
 
 
 def test_dj_fractions_values():
-    assert dj_fractions(2).sep_exact.log2_ratio == pytest.approx(0.0, abs=1e-12)
-    assert dj_fractions(3).sep_exact.log2_ratio == pytest.approx(
+    assert dj_fractions(2).sep_exact == pytest.approx(0.0, abs=1e-12)
+    assert dj_fractions(3).sep_exact == pytest.approx(
         math.log2(14 / 70), abs=1e-12
     )
     # n=5 against a direct big-integer evaluation of the same ratio
     num = 2 * 31 * math.factorial(16) ** 2
     den = math.factorial(32)
-    assert dj_fractions(5).sep_exact.log2_ratio == pytest.approx(
+    assert dj_fractions(5).sep_exact == pytest.approx(
         log2_int(num) - log2_int(den), abs=1e-9
     )
 
 
 def test_dj_fractions_structure_and_cap():
     fr = dj_fractions(4)
-    for lf in (fr.sep_exact, fr.sep_asymptotic, fr.bisep_bound):
-        assert lf.log2_ratio == pytest.approx(
-            lf.log2_numerator - lf.log2_denominator, abs=1e-12
-        )
+    assert [type(v) for v in (fr.sep_exact, fr.sep_asymptotic, fr.bisep_bound)] == [float] * 3
     with pytest.raises(ResourceCapError):
         dj_fractions(21)
     with pytest.raises(ValueError):
         dj_fractions(1)
 
 
+def test_dj_fractions_stop_where_a_float_overflows():
+    fr = dj_fractions(1014, cap=1014)
+    assert all(-math.inf < v < 0 for v in (fr.sep_exact, fr.sep_asymptotic, fr.bisep_bound))
+    for cap in (1015, 10**6):
+        with pytest.raises(ResourceCapError, match="overflow a float at n = 1015"):
+            dj_fractions(1015, cap=cap)
+
+
 def test_stirling_convergence():
     gaps = []
     for n in range(4, 15):
         fr = dj_fractions(n)
-        gaps.append(abs(fr.sep_asymptotic.log2_ratio - fr.sep_exact.log2_ratio))
+        gaps.append(abs(fr.sep_asymptotic - fr.sep_exact))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.02
     for n in range(8, 15):
         fr = dj_fractions(n)
-        assert abs(fr.sep_asymptotic.log2_ratio - fr.sep_exact.log2_ratio) < 0.02
+        assert abs(fr.sep_asymptotic - fr.sep_exact) < 0.02
 
 
 def test_sep_exact_strictly_decreasing():
-    vals = [dj_fractions(n).sep_exact.log2_ratio for n in range(2, 15)]
+    vals = [dj_fractions(n).sep_exact for n in range(2, 15)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -166,7 +172,7 @@ def test_biseparable_oracle_fraction_strictly_decreasing():
 
 def test_count_grover_values():
     gc = count_grover(3, 1)
-    assert (gc.total, gc.fully_entangled_formula) == (8, 8)
+    assert gc.total == 8
     assert gc.jsep_form_count == 8  # 2^n B(n, 0)
     assert not gc.outside_regime
     gc = count_grover(3, 2)
@@ -178,7 +184,13 @@ def test_count_grover_values():
     gc = count_grover(2, 2)
     assert gc.outside_regime
     gc = count_grover(5, 3)
-    assert gc.bisep_formula == 0 and gc.fully_entangled_formula == gc.total
+    assert gc.bisep_formula == 0
+
+
+def test_odd_m_fully_entangled_row_is_the_total():
+    for n, m in ((3, 1), (5, 3)):
+        rows = {r.class_name: r for r in grover_formula_report(n, m).rows}
+        assert rows["fully-entangled"].formula == rows["total"].formula == count_grover(n, m).total
 
 
 def test_count_grover_domain():
@@ -197,12 +209,13 @@ def test_grover_fraction_monotone():
 
 
 def test_count_simon():
-    sc = count_simon(3)
-    assert [(r.weight, r.count, r.q) for r in sc.rows] == [(1, 3, 3), (2, 3, 2), (3, 1, 1)]
-    assert sc.modal_weight == 1
+    assert count_simon(3) == (SimonWeightClass(1, 3, 3), SimonWeightClass(2, 3, 2),
+                              SimonWeightClass(3, 1, 1))
     for n in range(2, 11):
-        assert sum(r.count for r in count_simon(n).rows) == (1 << n) - 1
-    assert count_simon(6).modal_weight == 3
+        assert sum(r.count for r in count_simon(n)) == (1 << n) - 1
+    for n, modal in ((3, 1), (6, 3)):
+        rows = {r.class_name: r for r in simon_formula_report(n).rows}
+        assert rows["modal-weight"].formula == modal
     with pytest.raises(ValueError):
         count_simon(1)
 

@@ -93,9 +93,10 @@ def test_classify_input_errors_exit_2(runner):
     assert res.exit_code == 2
     res = runner.invoke(main, ["classify", "--n", "2", "--unknown-flag", "x"])
     assert res.exit_code == 2
-    res = runner.invoke(main, ["classify", "--n", "0", "--bv-a", ""])
-    assert res.exit_code == 2
-    assert res.stderr == "error: qubit count must be a positive integer, got 0\n"
+    for n, bv_a in (("0", ""), ("0", "0"), ("-1", "")):
+        res = runner.invoke(main, ["classify", "--n", n, "--bv-a", bv_a])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: qubit count must be a positive integer, got {n}\n"
 
 
 def test_classify_cap_exit_3(runner):
@@ -216,6 +217,31 @@ def test_simulate_simon_rejects_a_malformed_instance_file(runner, tmp_path, cont
     res = runner.invoke(main, ["simulate", "simon", "--n", "3", "--instance", str(path)])
     assert res.exit_code == 2
     assert res.stderr.startswith("error: ") and field in res.stderr
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": "three"}, "malformed instance: field 'n' must be an integer"),
+    ({"n": 1e400}, "malformed instance: field 'n' must be an integer"),
+    ({"r": "0x1"}, "malformed instance: field 'r' must be a bit string"),
+    ({"table": ["011", 2.5]}, "malformed instance: field 'table' must be a list of bit strings"),
+])
+def test_simulate_simon_names_a_malformed_instance_field(runner, tmp_path, fields, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(SIMON_INSTANCE, **fields)))
+    res = runner.invoke(main, ["simulate", "simon", "--n", "3", "--instance", str(path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
+def test_simulate_simon_names_an_instance_file_that_is_not_json(runner, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text("{'n': 3}")
+    res = runner.invoke(main, ["simulate", "simon", "--n", "3", "--instance", str(path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (f"error: --instance {path} is not JSON: Expecting property name"
+                          " enclosed in double quotes: line 1 column 2 (char 1)\n")
 
 
 def test_simulate_simon_rejects_an_instance_of_another_size(runner, tmp_path):
@@ -490,6 +516,17 @@ def test_asymptotics_cap(runner):
     assert res.exit_code == 0
 
 
+def test_asymptotics_stops_where_the_fractions_overflow_a_float(runner):
+    env = {"EQW_MAX_N": "1015"}
+    res = runner.invoke(main, ["asymptotics", "--max-n", "1014", "--format", "csv"], env=env)
+    assert res.exit_code == 0
+    assert len(res.stdout.splitlines()) == 1 + 1013  # n = 2..1014
+    res = runner.invoke(main, ["asymptotics", "--max-n", "1015"], env=env)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: fractions overflow a float at n = 1015\n"
+
+
 def test_asymptotics_csv_roundtrip(runner):
     res = invoke(runner, "asymptotics", "--max-n", "6", "--format", "csv")
     rows = list(csv.reader(io.StringIO(res.output)))
@@ -677,3 +714,51 @@ def test_every_argv_ends_in_a_documented_exit_code(contract_paths, argv):
             jsonschema.validate(data["report"], _schema("report-v1.json"))
         elif argv[0] == "census":
             jsonschema.validate(data, _schema("census-v1.json"))
+
+
+# Limits on each child process alone: 1 GB of address space and 30 s of CPU,
+# so a runaway allocation or loop fails the test and leaves the host alone.
+_CHILD_AS_BYTES = 1 << 30
+_CHILD_CPU_S = 30
+
+
+def _run_limited(argv, env=None):
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS_BYTES, _CHILD_AS_BYTES))
+        resource.setrlimit(resource.RLIMIT_CPU, (_CHILD_CPU_S, _CHILD_CPU_S))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(eqw.__file__).parents[1]), **(env or {})}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=4 * _CHILD_CPU_S, preexec_fn=limit)
+
+
+@pytest.mark.parametrize("args, env, code", [
+    (["classify", "--n", "1000000000000", "--truth-table", "01"], None, 2),
+    (["simulate", "grover", "--n", "1000000000000", "--m", "1"], None, 3),
+    (["verify", "--suite", "grover", "--n", "1000000000000"], None, 3),
+    (["asymptotics", "--max-n", "1015"], {"EQW_MAX_N": "1015"}, 3),
+    (["simulate", "simon", "--n", "3", "--instance", "<instance:not-json>"], None, 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_refused_argv_exit_cleanly_in_a_limited_subprocess(contract_paths, args, env, code):
+    args = [contract_paths.get(arg, arg) for arg in args]
+    res = _run_limited(["-m", "eqw.cli", *args], env)
+    assert res.returncode == code, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
+def test_verify_fails_without_asserts():
+    # under -O every assert is stripped, the first line's included; a wrong
+    # closed form must still exit 1
+    script = ("assert False, 'asserts are live'\n"
+              "from eqw import census, cli\n"
+              "real = census.count_balanced\n"
+              "census.count_balanced = lambda n: real(n) + 1\n"
+              "cli.main(['verify', '--suite', 'dj', '--n', '2', '--workers', '1'])\n")
+    res = _run_limited(["-O", "-c", script])
+    assert (res.returncode, res.stderr) == (1, "")
+    assert "formula 7 != oracle 6" in res.stdout
+    assert res.stdout.endswith("2 passed, 1 failed\n")

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 from click.testing import CliRunner
 
@@ -129,3 +132,67 @@ def test_short_verify_scans_run_in_process(monkeypatch):
     res = CliRunner().invoke(cli.main, ["verify", "--n", "2..3", "--workers", "2"])
     assert res.exit_code == 0, res.output
     assert "0 failed" in res.stdout
+
+
+def _verify(*args):
+    return CliRunner().invoke(cli.main, ["verify", *args, "--workers", "1"],
+                              catch_exceptions=False)
+
+
+def _rows(res) -> list[str]:
+    """The table's lines with each run of spaces cut to one."""
+    return [" ".join(line.split()) for line in res.stdout.splitlines()]
+
+
+def test_a_failed_census_relation_exits_1(monkeypatch):
+    real = census.count_balanced
+    monkeypatch.setattr(census, "count_balanced", lambda n: real(n) + 1)
+    res = _verify("--suite", "dj", "--n", "2")
+    assert res.exit_code == 1
+    lines = _rows(res)
+    assert "FAIL dj census n=2 balanced: formula 7 != oracle 6" in lines
+    assert lines[-1] == "2 passed, 1 failed"
+    res = _verify("--suite", "dj", "--n", "2", "--format", "json")
+    assert res.exit_code == 1
+    assert json.loads(res.stdout)["passed"] is False
+
+
+def _one_more_block(classify):
+    def faulty(s):
+        rep = classify(s)
+        return dataclasses.replace(rep, q=rep.q + 1)
+
+    return faulty
+
+
+def _reversed_period(state):
+    return lambda n, r: state(n, int(format(r, f"0{n}b")[::-1], 2))
+
+
+@pytest.mark.parametrize("name, fault, detail", [
+    ("classify", _one_more_block, "period 001: q = 4, expected 3"),
+    # r = 011 collapses onto qubits 1 and 2, not its period bits 2 and 3
+    ("simon_canonical_state", _reversed_period,
+     "period 011: period bits do not form a single all-or-nothing block"),
+])
+def test_a_collapse_out_of_its_class_fails(monkeypatch, name, fault, detail):
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    res = _verify("--suite", "simon", "--n", "3")
+    assert res.exit_code == 1
+    lines = _rows(res)
+    assert f"FAIL simon collapsed-classes n=3 {detail}" in lines
+    assert lines[-1].endswith(" passed, 1 failed")
+
+
+@pytest.mark.parametrize("suite, rows", [
+    ("lemma", ["INFO lemma product-direction n=5 skipped: exhaustive product enumeration"
+               " runs up to n = 4",
+               "INFO lemma decomposition-direction n=5 skipped: exhaustive balanced-vector"
+               " scan runs up to n = 4"]),
+    ("dj", ["INFO dj census n=5 skipped: full enumeration is capped at n = 4"]),
+])
+def test_suites_past_their_enumeration_range_print_skip_rows(suite, rows):
+    res = _verify("--suite", suite, "--n", "5")
+    assert res.exit_code == 0
+    lines = _rows(res)
+    assert all(row in lines for row in rows)
