@@ -42,13 +42,14 @@ _PRINT_BITS = (10**COUNT_DIGITS_CAP).bit_length()
 MIN_SHARD_PLACEMENTS = 98_304
 # The same for candidates: verify's scans and the Simon periods. On a 2-core
 # host a two-worker pool took 6-19 ms to start and stop, while one candidate
-# cost 15 us (spectral at n = 4; 152 us at n = 8), 10 us (pipeline at n = 4;
-# 69 us at n = 8) and 390 us (Simon classes at n = 12) on the packed-lane
-# transform, so a shard this long is at least about as much work as the pool
-# costs. Lemma decomposition, screened by the ANF kernel, costs 1.75 us a
-# candidate at n = 4, less than this, but with its 12,870 candidates cut in
-# two shards, the lemma suite at n = 4 still took 56 ms at two workers
-# against 59 ms at one (medians of 9).
+# cost 15 us (spectral at n = 4; 152 us at n = 8) and 10 us (pipeline at
+# n = 4; 69 us at n = 8) on the packed-lane transform, and 196 us (Simon
+# classes at n = 12; 48 us at n = 9) on the coset engine, so a shard this
+# long is at least about as much work as the pool costs. Lemma
+# decomposition, screened by the ANF kernel, costs 1.75 us a candidate at
+# n = 4, less than this, but with its 12,870 candidates cut in two shards,
+# the lemma suite at n = 4 still took 56 ms at two workers against 59 ms at
+# one (medians of 9).
 MIN_SHARD_CANDIDATES = 2_048
 
 RELATION_EQUAL = "equal"

@@ -62,6 +62,13 @@ def prepare_dj_state(f: BooleanFunction) -> StateVector:
     return register
 
 
+def _json_integer(value) -> int:
+    """A JSON integer as it is; a float, a string or a bool raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SimonInstance:
     """A periodic 2-to-1 function: table[x] = table[y] iff x = y xor r.
@@ -112,7 +119,7 @@ class SimonInstance:
         """Inverse of to_dict; a malformed instance raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("instance must be a JSON object with fields n, r and table")
-        fields = (("n", int, "an integer"),
+        fields = (("n", _json_integer, "an integer"),
                   ("r", lambda r: int(str(r), 2), "a bit string"),
                   ("table", lambda t: tuple(int(str(v), 2) for v in t), "a list of bit strings"))
         values = []

@@ -3,7 +3,8 @@
 Everything here is decided with integer arithmetic: a state splits across a
 bipartition iff its reshaped coefficient matrix has rank 1, which is tested
 by cross-multiplication against a reference entry, with no elimination and
-no tolerances.
+no tolerances. A state that is one value on a coset of a subspace of Z_2^n
+and 0 elsewhere is factored by GF(2) row reduction instead.
 """
 from __future__ import annotations
 
@@ -199,17 +200,17 @@ def _cuts(m: int) -> Iterable[Bipartition]:
 
 
 def _split_blocks(
-    qubits: tuple[int, ...], s: StateVector
+    qubits: tuple[int, ...], s: StateVector, support: list[int]
 ) -> list[tuple[tuple[int, ...], StateVector]]:
-    """Peel finest blocks one per step. Cuts go by subset size and split iff
-    their subset is a union of blocks, so the first subset to split is a
-    smallest block (one of two, at a half-size cut). It is kept as found, and
-    the cofactor's sweep starts at cuts of its size.
+    """Peel finest blocks one per step: the reference engine, taking the
+    ascending support of s. Cuts go by subset size and split iff their subset
+    is a union of blocks, so the first subset to split is a smallest block
+    (one of two, at a half-size cut). It is kept as found, and the
+    cofactor's sweep starts at cuts of its size.
     """
     blocks = []
     least = 1  # no block left has fewer qubits
     while (m := len(qubits)) > 1:
-        support = list(compress(range(1 << m), s.amps))
         hint = [support[0]]
         cuts = _cuts(m)
         if least > 1:  # skip the smaller cuts without a test, so a GME sweep pays nothing
@@ -224,8 +225,92 @@ def _split_blocks(
         blocks.append((tuple(qubits[i - 1] for i in p.subset), factor))
         qubits = tuple(qubits[i - 1] for i in p.complement)
         least = len(p.subset)
+        support = list(compress(range(len(s.amps)), s.amps))
     blocks.append((qubits, s))
     return blocks
+
+
+def _coset_rows(a: tuple[int, ...], support: list[int]) -> Optional[list[int]]:
+    """The reduced echelon basis of H, rows by ascending pivot (top bit), when
+    a is c times the indicator of a coset x0 + H with d = dim H >= 1; else
+    None.
+
+    Every nonzero amplitude must equal c = a[x0], x0 the first support index,
+    the support must have 2^d points, and their XOR differences from x0 must
+    span d dimensions. A basis state (d = 0) is left to the sweep, whose
+    one-point walks peel it in n - 1 rank-1 tests. Four sampled entries are
+    compared with c before the support's values are counted, so most
+    mixed-sign vectors are turned away in O(1). The least point x0 of a coset has no pivot bit set, so in ascending order the point
+    at position 2^j is x0 xor the row of the j-th lowest pivot. The rows are
+    read off there and doubled out in ascending order; the support must be
+    that list, which is exact, as 2^d distinct points built from d rows are
+    a coset of their span.
+    """
+    size = len(support)
+    x0 = support[0]
+    c = a[x0]
+    if (size < 2 or size & (size - 1)
+            or any(a[support[i]] != c for i in (size - 1, size >> 1, size // 3, 2 * size // 3))
+            or list(map(a.__getitem__, support)).count(c) != size):
+        return None
+    rows = [support[1 << j] ^ x0 for j in range(size.bit_length() - 1)]
+    coset = [x0]
+    for row in rows:
+        coset += [x ^ row for x in coset]
+    return rows if coset == support else None
+
+
+def _coset_blocks(
+    s: StateVector, x0: int, rows: list[int]
+) -> list[tuple[tuple[int, ...], StateVector]]:
+    """Finest blocks of s = c times the indicator of x0 + span(rows), rows in
+    reduced echelon form.
+
+    Rows that share a qubit are joined: the blocks are the connected
+    components of the binary matroid of H (Oxley, *Matroid Theory*, ch. 4),
+    and a qubit in no row is a basis-state singleton. Each factor is the 0/1
+    indicator of the coset projected on its qubits, as the sweep's content
+    reduction leaves it, except that the block the sweep leaves for last
+    (the largest, of those the one with the latest first qubit) carries the
+    sign of c. A state of one block is returned as it is, as the sweep does.
+    """
+    n = s.m
+    masks: list[int] = []
+    for row in rows:
+        kept = []
+        for mask in masks:
+            if mask & row:
+                row |= mask
+            else:
+                kept.append(mask)
+        masks = kept + [row]
+    covered = sum(masks)  # the masks are disjoint
+    blocks = [(tuple(q for q in range(1, n + 1) if mask >> (n - q) & 1), mask) for mask in masks]
+    blocks += [((q,), 0) for q in range(1, n + 1) if not covered >> (n - q) & 1]
+    if len(blocks) == 1:
+        return [(blocks[0][0], s)]
+    last = max(blocks, key=lambda b: (len(b[0]), b[0][0]))[0]
+    sign = -1 if s.amps[x0] < 0 else 1
+
+    def local(x: int, qubits: tuple[int, ...]) -> int:
+        y = 0
+        for q in qubits:
+            y = y << 1 | (x >> (n - q) & 1)
+        return y
+
+    out = []
+    for qubits, mask in blocks:
+        points = [local(x0, qubits)]
+        for row in rows:
+            if row & mask:
+                shift = local(row, qubits)
+                points += [y ^ shift for y in points]
+        amps = [0] * (1 << len(qubits))
+        value = sign if qubits == last else 1
+        for y in points:
+            amps[y] = value
+        out.append((qubits, StateVector(len(qubits), tuple(amps))))
+    return out
 
 
 def check_factor_cap(n: int, cap: int = FACTOR_CAP) -> None:
@@ -237,13 +322,25 @@ def check_factor_cap(n: int, cap: int = FACTOR_CAP) -> None:
 
 
 def finest_factorization(s: StateVector, cap: int = FACTOR_CAP) -> Factorization:
-    """Peel factors greedily by subset size until no bipartition splits.
+    """Finest tensor factorization of s, by one of two engines.
 
-    Subsets of each size are tried in lexicographic order, so the result is
-    deterministic; the partition itself is unique for pure states.
+    The support is found once. A state equal to c on the points of a coset
+    x0 + H of a subspace H of Z_2^n, and 0 elsewhere (every Simon collapse,
+    the uniform state), is factored by GF(2) row reduction: the qubits of
+    each reduced echelon row of H are joined, and a qubit in no row is a
+    basis-state singleton (``_coset_blocks``). Every other state goes to the
+    reference engine, the rank-1 sweep (``_split_blocks``), which peels
+    factors greedily by subset size until no bipartition splits; subsets of
+    each size are tried in lexicographic order. Both give the same blocks
+    and factors, and the partition itself is unique for pure states.
     """
     check_factor_cap(s.m, cap)
-    blocks = _split_blocks(tuple(range(1, s.m + 1)), s)
+    support = list(compress(range(len(s.amps)), s.amps))
+    rows = _coset_rows(s.amps, support)
+    if rows is None:
+        blocks = _split_blocks(tuple(range(1, s.m + 1)), s, support)
+    else:
+        blocks = _coset_blocks(s, support[0], rows)
     blocks.sort(key=lambda b: b[0][0])
     return Factorization(s.m, tuple(blocks))
 

@@ -234,6 +234,17 @@ def test_simulate_simon_names_a_malformed_instance_field(runner, tmp_path, field
     assert res.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("n", [3.9, "3", True])
+def test_an_instance_n_that_is_not_a_json_integer_is_refused(runner, tmp_path, n):
+    # int() would truncate 3.9 and read "3" and true as qubit counts
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(SIMON_INSTANCE, n=n)))
+    res = runner.invoke(main, ["simulate", "simon", "--n", "3", "--instance", str(path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: malformed instance: field 'n' must be an integer\n"
+
+
 def test_simulate_simon_names_an_instance_file_that_is_not_json(runner, tmp_path):
     path = tmp_path / "inst.json"
     path.write_text("{'n': 3}")

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from eqw import separability
 from eqw.errors import ResourceCapError
-from eqw.oracles import make_simon_instance, simon_canonical_state, simon_global_state
+from eqw.oracles import (
+    make_simon_instance,
+    simon_canonical_state,
+    simon_global_state,
+    simon_measure,
+)
 from eqw.rng import SplitMix64
 from eqw.separability import (
     FACTOR_CAP,
@@ -721,3 +726,148 @@ def test_anf_block_sizes_keeps_a_bounded_graph_table():
     assert list(anf_block_sizes(n, tables)) == [_sweep_sizes(n, t) for t in tables]
     graphs = separability._cached_anf_masks(n)[-1]
     assert 0 < len(graphs) <= separability._GRAPHS_HELD < len(tables)
+
+
+def _coset_state(n: int, x0: int, basis: list[int], c: int) -> StateVector:
+    """c on the points of x0 + span(basis), 0 elsewhere."""
+    points = [x0]
+    for b in basis:
+        points += [x ^ b for x in points]
+    amps = [0] * (1 << n)
+    for x in points:
+        amps[x] = c
+    return StateVector(n, tuple(amps))
+
+
+def _random_basis(rng: SplitMix64, n: int, d: int) -> list[int]:
+    basis, span = [], {0}
+    while len(basis) < d:
+        v = rng.below(1 << n)
+        if v not in span:
+            basis.append(v)
+            span |= {x ^ v for x in span}
+    return basis
+
+
+def _engine_takes(s: StateVector) -> bool:
+    return separability._coset_rows(s.amps, list(s.nonzero_indices())) is not None
+
+
+def _mismatches_with_the_sweep(monkeypatch, states) -> list[StateVector]:
+    """States on which finest_factorization or classify differs from the
+    reference sweep: blocks and factor amps against ``_split_blocks`` sorted
+    as finest_factorization sorts, report bytes against classify with the
+    coset engine turned off."""
+    out = []
+    for s in states:
+        swept = separability._split_blocks(tuple(range(1, s.m + 1)), s,
+                                           list(s.nonzero_indices()))
+        swept.sort(key=lambda b: b[0][0])
+        with monkeypatch.context() as off:
+            off.setattr(separability, "_coset_rows", lambda a, support: None)
+            reference = classify(s).to_dict()
+        if finest_factorization(s).blocks != tuple(swept) or classify(s).to_dict() != reference:
+            out.append(s)
+    return out
+
+
+def test_coset_engine_equals_the_sweep_on_random_cosets(monkeypatch):
+    # 3,000 cosets x0 + H at n = 2..8 of every dimension d = 0..n; the engine
+    # takes those with d >= 1 and leaves basis states (d = 0) to the sweep
+    rng = SplitMix64(930)
+    states, taken = [], 0
+    for _ in range(3000):
+        n = 2 + rng.below(7)
+        d = rng.below(n + 1)
+        s = _coset_state(n, rng.below(1 << n), _random_basis(rng, n, d), (1, -1, 2, -3)[rng.below(4)])
+        assert _engine_takes(s) == (d >= 1)
+        taken += d >= 1
+        states.append(s)
+    assert taken > 2000
+    assert _mismatches_with_the_sweep(monkeypatch, states) == []
+
+
+def test_coset_engine_equals_the_sweep_on_every_simon_collapse(monkeypatch):
+    states = [simon_measure(make_simon_instance(n, r, seed=5), seed).collapsed
+              for n in range(2, 9) for r in range(1, 1 << n) for seed in (0, 1, 2)]
+    assert all(map(_engine_takes, states))
+    assert _mismatches_with_the_sweep(monkeypatch, states) == []
+
+
+def test_coset_engine_equals_the_sweep_on_every_affine_subspace(monkeypatch):
+    # every coset of every subspace of Z_2^n for n = 1..4, with c = 1 and -2
+    states = []
+    for n in range(1, 5):
+        subspaces = {frozenset({0})}
+        for _ in range(n):
+            subspaces |= {h | {x ^ v for x in h} for h in subspaces for v in range(1 << n)}
+        for h in subspaces:
+            cosets = {frozenset(x ^ y for y in h) for x in range(1 << n)}
+            for coset in cosets:
+                for c in (1, -2):
+                    states.append(StateVector(n, tuple(c if x in coset else 0
+                                                       for x in range(1 << n))))
+    assert len(states) == 2 * (3 + 11 + 51 + 307)  # cosets of all subspaces, n = 1..4
+    assert _mismatches_with_the_sweep(monkeypatch, states) == []
+
+
+def test_near_coset_states_reach_the_sweep(monkeypatch):
+    # a 2^d-point support that is not affine, one amplitude off c, and +-c
+    # mixed: the engine turns each away and the sweep factors it
+    rng = SplitMix64(931)
+    states = []
+    for _ in range(300):
+        n = 3 + rng.below(6)
+        d = 2 + rng.below(n - 1)
+        c = (1, -1, 2, -3)[rng.below(4)]
+        coset = _coset_state(n, rng.below(1 << n), _random_basis(rng, n, d), c)
+        support = list(coset.nonzero_indices())
+        outside = [x for x in range(1 << n) if not coset.amps[x]]
+        amps = list(coset.amps)
+        if outside:  # 2^d - 1 coset points and one more is not affine for d >= 2
+            moved = list(amps)
+            moved[support[rng.below(len(support))]] = 0
+            moved[outside[rng.below(len(outside))]] = c
+            states.append(StateVector(n, tuple(moved)))
+        off = list(amps)
+        off[support[rng.below(len(support))]] = 2 * c
+        states.append(StateVector(n, tuple(off)))
+        mixed = list(amps)
+        for x in support[:1] + [x for x in support[1:] if rng.below(2)]:
+            mixed[x] = -c
+        if len(set(mixed) - {0}) == 2:
+            states.append(StateVector(n, tuple(mixed)))
+    assert len(states) > 700
+    assert not any(map(_engine_takes, states))
+    assert _mismatches_with_the_sweep(monkeypatch, states) == []
+
+
+def test_coset_states_make_no_rank_1_test_and_all_others_are_swept(monkeypatch):
+    calls = []
+    real = separability.try_factor
+
+    def recording(s, p, **kwargs):
+        calls.append(p)
+        return real(s, p, **kwargs)
+
+    monkeypatch.setattr(separability, "try_factor", recording)
+    rng = SplitMix64(932)
+    cosets = [_coset_state(n, rng.below(1 << n), _random_basis(rng, n, d), c)
+              for n in range(2, 10) for d in range(1, n + 1) for c in (1, -1, 3)]
+    cosets += [simon_canonical_state(n, r) for n in (9, 12) for r in (1, 0b101, (1 << n) - 1)]
+    cosets += [uniform_state(n) for n in range(1, 13)]
+    for s in cosets:
+        finest_factorization(s)
+    assert calls == []
+    swept = [
+        state_from_function(make_function(3, "00000001")),  # mixed-sign sign vectors
+        state_from_function(BooleanFunction(6, rng.below(1 << 64))),
+        tensor(StateVector(1, (1, -1)), StateVector(2, (1, 1, 1, -1))),
+        StateVector(3, (1, 1, 1, 0, 0, 0, 0, 0)),  # sparse, not a coset
+        StateVector(3, (1, 0, 0, 2, 0, 0, 0, 0)),
+        StateVector(3, (0, 0, 0, 0, 0, 0, -6, 0)),  # a basis state
+    ]
+    for s in swept:
+        calls.clear()
+        finest_factorization(s)
+        assert calls, s

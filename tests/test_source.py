@@ -201,3 +201,20 @@ def test_one_anf_kernel():
     assert not any(isinstance(node, per_item + (ast.comprehension,))
                    for node in ast.walk(functions["separability.sign_block_sizes"])
                    if node is not functions["separability.sign_block_sizes"])
+
+
+def test_one_coset_engine():
+    # finest_factorization picks the engine in one place: no other function
+    # tests for a coset state or factors one by GF(2) row reduction
+    engine = {"_coset_rows", "_coset_blocks"}
+    callers = []
+    for path in sorted(Path(eqw.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) in engine
+                     or getattr(node.func, "attr", None) in engine)
+                for node in ast.walk(fn)
+            ):
+                callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["separability.finest_factorization"]
