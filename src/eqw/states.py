@@ -8,7 +8,8 @@ bit and the tensor product puts the left operand's qubits in the most
 significant positions.
 
 A Boolean function's truth table is one int with bit x = f(x), the value
-of its hex encoding (0110 is 0x6); only this module packs or unpacks it.
+of its hex encoding (0110 is 0x6). This module converts it to and from text;
+scans build it as sum(1 << x), and the ANF kernel packs tables into lanes.
 """
 from __future__ import annotations
 
@@ -79,9 +80,7 @@ class StateVector:
         """Global-sign canonical form: first nonzero amplitude positive."""
         for a in self.amps:
             if a:
-                if a < 0:
-                    return StateVector(self.m, tuple(-x for x in self.amps))
-                return self
+                return self.negate() if a < 0 else self
         raise AssertionError("unreachable: zero vector rejected at construction")
 
     def negate(self) -> "StateVector":
@@ -187,26 +186,17 @@ def apply_local_x(s: StateVector, qubit: int) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; a's qubits occupy the most significant positions."""
-    nb = len(b.amps)
-    out = [0] * (len(a.amps) * nb)
-    for x, ax in enumerate(a.amps):
-        if ax == 0:
-            continue
-        base = x * nb
-        for y, by in enumerate(b.amps):
-            out[base + y] = ax * by
-    return StateVector(a.m + b.m, tuple(out))
+    return tensor_all((a, b))
 
 
 def tensor_all(factors: Iterable[StateVector]) -> StateVector:
     """Left-to-right tensor product of a sequence of states."""
-    factors = list(factors)
-    if not factors:
+    m, amps = 0, [1]
+    for f in factors:
+        m, amps = m + f.m, [x * y for x in amps for y in f.amps]
+    if not m:
         raise ValueError("need at least one factor")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = tensor(acc, f)
-    return acc
+    return StateVector(m, tuple(amps))
 
 
 # Little-endian struct codes of the kernel's signed lanes by width in
@@ -219,17 +209,24 @@ _LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 _CACHED_MASK_SIZE = 1 << 13
 
 
+def _tile(pattern: int, period: int, total: int) -> int:
+    """Repeat the low ``period`` bits of pattern up to ``total`` bits, both
+    powers of two."""
+    while period < total:
+        pattern |= pattern << period
+        period *= 2
+    return pattern
+
+
 def _butterfly_masks(size: int, width: int, skip: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Lane masks of the packed butterfly, built from little-endian byte
-    patterns: the sign bit of every lane, and per level (shift, low lanes,
-    sign bits of the low lanes)."""
-    lane_bytes = width // 8
-    full, empty = b"\xff" * lane_bytes, bytes(lane_bytes)
-    signs = int.from_bytes((bytes(lane_bytes - 1) + b"\x80") * size, "little")
+    """Lane masks of the packed butterfly: the sign bit of every lane, and
+    per level (shift, low lanes, sign bits of the low lanes)."""
+    total = size * width
+    signs = _tile(1 << (width - 1), width, total)
     levels = []
     h = 1 << skip
     while h < size:
-        low = int.from_bytes((full * h + empty * h) * (size // (2 * h)), "little")
+        low = _tile((1 << (h * width)) - 1, 2 * h * width, total)
         levels.append((h * width, low, low & signs))
         h *= 2
     return signs, tuple(levels)

@@ -109,6 +109,16 @@ def test_try_factor_rejects_tiny_state():
         try_factor(StateVector(1, (1, 1)), Bipartition(2, (1,)))
 
 
+def test_a_bipartition_of_another_qubit_count_is_refused():
+    # a 3-qubit cut of a 4-qubit state would rank a cut of some other state,
+    # and a 5-qubit cut would shift by a negative count
+    s = StateVector(4, (1, 0, 0, 1) * 4)
+    for p in (Bipartition(3, (1,)), Bipartition(5, (1,))):
+        for check in (schmidt_rank, try_factor):
+            with pytest.raises(ValueError, match=f"^bipartition is for {p.n} qubits, state has 4$"):
+                check(s, p)
+
+
 def test_finest_factorization_examples():
     fac = finest_factorization(uniform_state(3))
     assert fac.q == 3
