@@ -544,25 +544,33 @@ def full_separability_fast(s: StateVector) -> Optional[tuple[LinearForm, int]]:
 def schmidt_rank(s: StateVector, p: Bipartition) -> int:
     """Exact rank of the reshaped coefficient matrix at a bipartition.
 
-    Integer row-echelon form: each gcd-reduced row is cross-multiplied with
-    the kept row of its lead (first nonzero column) until it is zero or its
-    lead is new, and is kept there. Each kept row has a lead no other kept
-    row has, so the rank is their number.
+    Integer row-echelon form on the rows of the support: the nonzero
+    amplitudes are read once and grouped by their subset bits x & rmask
+    into sparse rows {column bits: value}; zero rows are never built. Each
+    gcd-reduced row is cross-multiplied with the kept row of its lead (least
+    column) until it is empty or its lead is new, and is kept there. Each
+    kept row has a lead no other kept row has, so the rank is their number.
+    A Simon register-cut row holds one entry, so after the support scan
+    that rank costs O(2^n), not the 2^(2n) of the full reshape.
     """
     if p.n != s.m:
         raise ValueError(f"bipartition is for {p.n} qubits, state has {s.m}")
-    rows, cols = _index_maps(s.m, p.subset)
-    kept: dict[int, list[int]] = {}
-    for r in rows:
-        row = [s.amps[r | c] for c in cols]
-        while g := math.gcd(*row):
-            if g > 1:
-                row = [x // g for x in row]
-            lead = next(compress(range(len(row)), row))
+    a, rmask = s.amps, p.rmask
+    cmask = (len(a) - 1) ^ rmask
+    rows: dict[int, dict[int, int]] = {}
+    for x in compress(range(len(a)), a):
+        rows.setdefault(x & rmask, {})[x & cmask] = a[x]
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows.values():
+        while row:
+            if (g := math.gcd(*row.values())) > 1:
+                row = {c: x // g for c, x in row.items()}
+            lead = min(row)
             if lead not in kept:
                 kept[lead] = row
                 break
             pivot = kept[lead]
-            a, b = pivot[lead], row[lead]
-            row = [a * x - b * y for x, y in zip(row, pivot)]
+            u, w = pivot[lead], row[lead]
+            row = {c: x for c in row.keys() | pivot.keys()
+                   if (x := u * row.get(c, 0) - w * pivot.get(c, 0))}
     return len(kept)

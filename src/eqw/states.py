@@ -97,11 +97,13 @@ class LinearForm:
     n: int
     value: int
 
+    def __post_init__(self):
+        require_qubit_count(self.n)
+        if not 0 <= self.value < (1 << self.n):
+            raise ValueError(f"value {self.value} out of range for {self.n} bits")
+
     @classmethod
     def from_value(cls, n: int, value: int) -> "LinearForm":
-        require_qubit_count(n)
-        if not 0 <= value < (1 << n):
-            raise ValueError(f"value {value} out of range for {n} bits")
         return cls(n, value)
 
 

@@ -16,12 +16,15 @@ from eqw.states import LinearForm, tensor_all
     (lambda: SimonInstance(2, 4, (0, 1, 1, 0)), "period must be a nonzero 2-bit value, got 4"),
     (lambda: LinearForm.from_value(3, 8), "value 8 out of range for 3 bits"),
     (lambda: LinearForm.from_value(3, -1), "value -1 out of range for 3 bits"),
+    (lambda: LinearForm(3, 99), "value 99 out of range for 3 bits"),
+    (lambda: LinearForm(3, -1), "value -1 out of range for 3 bits"),
     (lambda: tensor_all([]), "need at least one factor"),
     (lambda: tensor_all(iter(())), "need at least one factor"),
     (lambda: SplitMix64(1).bits(0), "need a positive bit count, got 0"),
     (lambda: SplitMix64(1).below(0), "bound must be positive, got 0"),
 ], ids=["grover-odd-m", "grover-m-at-2^n", "simon-n-1", "simon-wide-period",
-        "linear-form-above", "linear-form-negative", "tensor-all-empty-list",
+        "linear-form-above", "linear-form-negative", "linear-form-init-above",
+        "linear-form-init-negative", "tensor-all-empty-list",
         "tensor-all-empty-iterator", "bits-0", "below-0"])
 def test_out_of_range_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -472,6 +472,16 @@ def _sum_of_products(rng: SplitMix64, n: int, subset: tuple[int, ...], terms: in
             return StateVector(n, tuple(amps))
 
 
+def _sparse_entries(rng: SplitMix64, size: int) -> list[int]:
+    """A random support of 1..size/2 points, entries in +-1..+-3."""
+    points = list(range(size))
+    _shuffle(rng, points)
+    amps = [0] * size
+    for x in points[:1 + rng.below(size // 2)]:
+        amps[x] = (1 + rng.below(3)) * (1 - 2 * rng.below(2))
+    return amps
+
+
 def _assert_rank_matches_elimination(s: StateVector, subsets) -> None:
     for subset in subsets:
         p = Bipartition(s.m, subset)
@@ -480,6 +490,8 @@ def _assert_rank_matches_elimination(s: StateVector, subsets) -> None:
 
 def test_schmidt_rank_matches_the_elimination_reference():
     rng = SplitMix64(911)
+    sparse_rng = SplitMix64(914)
+    cancelled = 0
     for n in range(2, 9):
         if n <= 5:
             subsets = [c for k in range(1, n) for c in combinations(range(1, n + 1), k)]
@@ -488,6 +500,20 @@ def test_schmidt_rank_matches_the_elimination_reference():
         for _ in range(6):
             _assert_rank_matches_elimination(StateVector(n, tuple(_small_entries(rng, 1 << n))),
                                              subsets)
+            _assert_rank_matches_elimination(
+                StateVector(n, tuple(_sparse_entries(sparse_rng, 1 << n))), subsets)
+            # one or two sparse products: at their cut, all rows past the
+            # first one or two cancel to empty
+            planted = subsets[sparse_rng.below(len(subsets))]
+            terms = 1 + sparse_rng.below(2)
+            s = _sum_of_products(sparse_rng, n, planted, terms,
+                                 lambda: (sparse_rng.below(7) - 3) * (sparse_rng.below(3) == 0))
+            p = Bipartition(n, planted)
+            rank = schmidt_rank(s, p)
+            assert rank <= terms
+            cancelled += len({x & p.rmask for x in s.nonzero_indices()}) > rank
+            _assert_rank_matches_elimination(s, subsets)
+    assert cancelled > 20
     # sums of 1-4 rank-1 terms: rank at most the term count at the planted cut
     for n in range(2, 8):
         for terms in range(1, 5):
@@ -507,6 +533,32 @@ def test_schmidt_rank_of_the_simon_register_cut_matches_the_elimination_referenc
         cut = tuple(range(1, n + 1))
         assert schmidt_rank(s, Bipartition(2 * n, cut)) == 1 << (n - 1)
         _assert_rank_matches_elimination(s, [cut, (1, n + 1)])
+
+
+def _subspace_dim(points: list[int], mask: int) -> int:
+    """dim of the part of the subspace listed by ``points`` that lies inside mask."""
+    return sum(1 for h in points if not h & ~mask).bit_length() - 1
+
+
+def test_schmidt_rank_of_cosets_follows_the_stabilizer_rule():
+    # c times the indicator of x0 + H, dim H = d, has rank 2^(d - dim H_A -
+    # dim H_B) across A|B, H_A the part of H supported inside A (Fattal,
+    # Cubitt, Yamamoto, Bravyi & Chuang, quant-ph/0406168)
+    rng = SplitMix64(931)
+    for _ in range(1500):
+        n = 2 + rng.below(9)
+        d = rng.below(n + 1)
+        basis = _random_basis(rng, n, d)
+        s = _coset_state(n, rng.below(1 << n), basis, (1, -1, 2, -3)[rng.below(4)])
+        qubits = list(range(1, n + 1))
+        _shuffle(rng, qubits)
+        p = Bipartition(n, tuple(qubits[:1 + rng.below(n - 1)]))
+        h = [0]
+        for b in basis:
+            h += [x ^ b for x in h]
+        full = (1 << n) - 1
+        expected = d - _subspace_dim(h, p.rmask) - _subspace_dim(h, full ^ p.rmask)
+        assert schmidt_rank(s, p) == 1 << expected, (n, basis, p.subset)
 
 
 def test_schmidt_rank_with_thirty_digit_entries_matches_the_elimination_reference():

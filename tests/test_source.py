@@ -218,3 +218,17 @@ def test_one_coset_engine():
             ):
                 callers.append(f"{path.stem}.{fn.name}")
     assert callers == ["separability.finest_factorization"]
+
+
+def test_one_reshape_reader():
+    # schmidt_rank reads the rows of the support, so it builds no offset
+    # tables: only the rank-1 test's factors and reassembly read _index_maps
+    callers = []
+    for fn in ast.walk(ast.parse(Path(separability.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef) and any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_index_maps"
+            for node in ast.walk(fn)
+        ):
+            callers.append(fn.name)
+    assert "schmidt_rank" not in callers
+    assert sorted(callers) == ["reassemble", "try_factor"]
