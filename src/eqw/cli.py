@@ -107,10 +107,8 @@ def _emit(fmt: str, payload: dict, header: list[str], rows: list[list[str]],
 
 
 def _sparse_state(s: StateVector) -> dict:
-    return {
-        "qubits": s.m,
-        "amps": {str(x): str(a) for x, a in enumerate(s.amps) if a},
-    }
+    values, support = s.entries()
+    return {"qubits": s.m, "amps": {str(x): str(values[x]) for x in support}}
 
 
 @click.group()

@@ -10,7 +10,8 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Iterator
 
 from .errors import ResourceCapError, TargetEntanglementError
 from .rng import KeyedPermutation, SplitMix64
@@ -175,6 +176,9 @@ class CosetLabels(Sequence):
     def __getitem__(self, x: int) -> int:
         return self._label(coset_index(self.r, range(1 << self.n)[x]))  # bounds as a tuple's
 
+    def __iter__(self) -> Iterator[int]:
+        return map(self._label, map(coset_index, repeat(self.r), range(1 << self.n)))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, (tuple, CosetLabels)) and tuple(self) == tuple(other)
 
@@ -184,10 +188,7 @@ class CosetLabels(Sequence):
 
 def _indicator_state(m: int, support: Iterable[int]) -> StateVector:
     """The m-qubit state with amplitude 1 on support and 0 elsewhere."""
-    amps = [0] * (1 << m)
-    for x in support:
-        amps[x] = 1
-    return StateVector(m, tuple(amps))
+    return StateVector.from_terms(m, dict.fromkeys(support, 1))
 
 
 def parse_period(n: int, r: int | str) -> int:

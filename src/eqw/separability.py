@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from struct import error as struct_error, pack, unpack
 from typing import Iterable, Iterator, Optional
 
@@ -107,7 +107,7 @@ def try_factor(
         raise ValueError(f"bipartition is for {p.n} qubits, state has {s.m}")
     a = s.amps
     if support is None:
-        support = list(compress(range(len(a)), a))
+        support = s.entries()[1]
     rmask = p.rmask
     cmask = (len(a) - 1) ^ rmask
     x0 = support[0]
@@ -215,26 +215,27 @@ def _split_blocks(
         blocks.append((tuple(qubits[i - 1] for i in p.subset), factor))
         qubits = tuple(qubits[i - 1] for i in p.complement)
         least = len(p.subset)
-        support = list(compress(range(len(s.amps)), s.amps))
+        support = s.entries()[1]
     blocks.append((qubits, s))
     return blocks
 
 
-def _coset_rows(a: tuple[int, ...], support: list[int]) -> Optional[list[int]]:
+def _coset_rows(a: tuple[int, ...] | dict[int, int], support: list[int]) -> Optional[list[int]]:
     """The reduced echelon basis of H, rows by ascending pivot (top bit), when
-    a is c times the indicator of a coset x0 + H with d = dim H >= 1; else
-    None.
+    the state whose values a and support ``entries()`` gave is c times the
+    indicator of a coset x0 + H with d = dim H >= 1; else None.
 
     Every nonzero amplitude must equal c = a[x0], x0 the first support index,
     the support must have 2^d points, and their XOR differences from x0 must
     span d dimensions. A basis state (d = 0) is left to the sweep, whose
     one-point walks peel it in n - 1 rank-1 tests. Four sampled entries are
     compared with c before the support's values are counted, so most
-    mixed-sign vectors are turned away in O(1). The least point x0 of a coset has no pivot bit set, so in ascending order the point
-    at position 2^j is x0 xor the row of the j-th lowest pivot. The rows are
-    read off there and doubled out in ascending order; the support must be
-    that list, which is exact, as 2^d distinct points built from d rows are
-    a coset of their span.
+    mixed-sign vectors are turned away in O(1). The least point x0 of a
+    coset has no pivot bit set, so in ascending order the point at position
+    2^j is x0 xor the row of the j-th lowest pivot. The rows are read off
+    there and doubled out in ascending order; the support must be that list,
+    which is exact, as 2^d distinct points built from d rows are a coset of
+    their span.
     """
     size = len(support)
     x0 = support[0]
@@ -266,7 +267,7 @@ def _join(masks: Iterable[int]) -> list[int]:
 
 
 def _coset_blocks(
-    s: StateVector, x0: int, rows: list[int]
+    s: StateVector, x0: int, c: int, rows: list[int]
 ) -> list[tuple[tuple[int, ...], StateVector]]:
     """Finest blocks of s = c times the indicator of x0 + span(rows), rows in
     reduced echelon form.
@@ -274,10 +275,10 @@ def _coset_blocks(
     Rows that share a qubit are joined: the blocks are the connected
     components of the binary matroid of H (Oxley, *Matroid Theory*, ch. 4),
     and a qubit in no row is a basis-state singleton. Each factor is the 0/1
-    indicator of the coset projected on its qubits, as the sweep's content
-    reduction leaves it, except that the block the sweep leaves for last
-    (the largest, of those the one with the latest first qubit) carries the
-    sign of c. A state of one block is returned as it is, as the sweep does.
+    indicator of the coset projected on its qubits, held by its support, as
+    the sweep's content reduction leaves it, except that the block the sweep
+    leaves for last (the largest, of those the one with the latest first
+    qubit) carries the sign of c. A state of one block is returned as it is.
     """
     n = s.m
     masks = _join(rows)
@@ -287,7 +288,7 @@ def _coset_blocks(
     if len(blocks) == 1:
         return [(blocks[0][0], s)]
     last = max(blocks, key=lambda b: (len(b[0]), b[0][0]))[0]
-    sign = -1 if s.amps[x0] < 0 else 1
+    sign = -1 if c < 0 else 1
 
     def local(x: int, qubits: tuple[int, ...]) -> int:
         y = 0
@@ -302,11 +303,8 @@ def _coset_blocks(
             if row & mask:
                 shift = local(row, qubits)
                 points += [y ^ shift for y in points]
-        amps = [0] * (1 << len(qubits))
         value = sign if qubits == last else 1
-        for y in points:
-            amps[y] = value
-        out.append((qubits, StateVector(len(qubits), tuple(amps))))
+        out.append((qubits, StateVector.from_terms(len(qubits), dict.fromkeys(points, value))))
     return out
 
 
@@ -321,23 +319,24 @@ def check_factor_cap(n: int, cap: int = FACTOR_CAP) -> None:
 def finest_factorization(s: StateVector, cap: int = FACTOR_CAP) -> Factorization:
     """Finest tensor factorization of s, by one of two engines.
 
-    The support is found once. A state equal to c on the points of a coset
-    x0 + H of a subspace H of Z_2^n, and 0 elsewhere (every Simon collapse,
-    the uniform state), is factored by GF(2) row reduction: the qubits of
-    each reduced echelon row of H are joined, and a qubit in no row is a
-    basis-state singleton (``_coset_blocks``). Every other state goes to the
-    reference engine, the rank-1 sweep (``_split_blocks``), which peels
-    factors greedily by subset size until no bipartition splits; subsets of
-    each size are tried in lexicographic order. Both give the same blocks
-    and factors, and the partition itself is unique for pure states.
+    The support is read once, from ``s.entries()``; a Simon state holds it.
+    A state equal to c on the points of a coset x0 + H of a subspace H of
+    Z_2^n, and 0 elsewhere (every Simon collapse, the uniform state), is
+    factored by GF(2) row reduction: the qubits of each reduced echelon row
+    of H are joined, and a qubit in no row is a basis-state singleton
+    (``_coset_blocks``). Every other state goes to the reference engine, the
+    rank-1 sweep (``_split_blocks``), which peels factors greedily by subset
+    size until no bipartition splits; subsets of each size are tried in
+    lexicographic order. Both give the same blocks and factors, and the
+    partition itself is unique for pure states.
     """
     check_factor_cap(s.m, cap)
-    support = list(compress(range(len(s.amps)), s.amps))
-    rows = _coset_rows(s.amps, support)
+    values, support = s.entries()
+    rows = _coset_rows(values, support)
     if rows is None:
         blocks = _split_blocks(tuple(range(1, s.m + 1)), s, support)
     else:
-        blocks = _coset_blocks(s, support[0], rows)
+        blocks = _coset_blocks(s, support[0], values[support[0]], rows)
     blocks.sort(key=lambda b: b[0][0])
     return Factorization(s.m, tuple(blocks))
 
@@ -550,15 +549,15 @@ def schmidt_rank(s: StateVector, p: Bipartition) -> int:
     gcd-reduced row is cross-multiplied with the kept row of its lead (least
     column) until it is empty or its lead is new, and is kept there. Each
     kept row has a lead no other kept row has, so the rank is their number.
-    A Simon register-cut row holds one entry, so after the support scan
-    that rank costs O(2^n), not the 2^(2n) of the full reshape.
+    The register state holds its 2^n support points, one per register-cut
+    row, so that rank costs O(2^n), not the 2^(2n) of the full reshape.
     """
     if p.n != s.m:
         raise ValueError(f"bipartition is for {p.n} qubits, state has {s.m}")
-    a, rmask = s.amps, p.rmask
-    cmask = (len(a) - 1) ^ rmask
+    (a, support), rmask = s.entries(), p.rmask
+    cmask = ((1 << s.m) - 1) ^ rmask
     rows: dict[int, dict[int, int]] = {}
-    for x in compress(range(len(a)), a):
+    for x in support:
         rows.setdefault(x & rmask, {})[x & cmask] = a[x]
     kept: dict[int, dict[int, int]] = {}
     for row in rows.values():

@@ -1,11 +1,12 @@
 """Exact representations of Boolean functions and integer-amplitude states.
 
 Amplitudes are arbitrary-precision signed integers with implicit
-normalization: the physical amplitude at basis index x is
-amps[x] / sqrt(sum of squares). Basis indices follow one convention
-everywhere: x = sum_i x_i * 2^(n-i), so qubit 1 is the most significant
-bit and the tensor product puts the left operand's qubits in the most
-significant positions.
+normalization: the physical amplitude at basis index x is amps[x] / sqrt(sum
+of squares). A state holds all 2^n amplitudes, or only its support (every
+Simon state is built so). Basis indices follow one convention everywhere:
+x = sum_i x_i * 2^(n-i), so qubit 1 is the most significant bit and the
+tensor product puts the left operand's qubits in the most significant
+positions.
 
 A Boolean function's truth table is one int with bit x = f(x), the value
 of its hex encoding (0110 is 0x6). This module converts it to and from text;
@@ -16,6 +17,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Sequence
 
 
@@ -50,21 +52,73 @@ class BooleanFunction:
         return self.table >> x & 1
 
 
-@dataclass(frozen=True)
 class StateVector:
-    """2^m integer amplitudes, not all zero; normalization is implicit."""
+    """2^m integer amplitudes, not all zero; normalization is implicit.
 
-    m: int
-    amps: tuple[int, ...]
+    ``StateVector(m, amps)`` holds the 2^m tuple; ``from_terms(m, terms)``
+    holds only the support, {index: nonzero amplitude} by ascending index,
+    and builds the tuple on the first read of ``amps``. ``entries()`` reads
+    the support of either. Equality, hash and repr are those of (m, amps).
+    """
 
-    def __post_init__(self):
-        require_qubit_count(self.m)
-        if len(self.amps) != 1 << self.m:
-            raise ValueError(
-                f"amplitude vector has {len(self.amps)} entries, expected 2^{self.m}"
-            )
-        if not any(self.amps):
+    __slots__ = ("m", "_amps", "_terms")
+
+    def __init__(self, m: int, amps: tuple[int, ...]):
+        require_qubit_count(m)
+        if len(amps) != 1 << m:
+            raise ValueError(f"amplitude vector has {len(amps)} entries, expected 2^{m}")
+        if not any(amps):
             raise ValueError("amplitude vector must have at least one nonzero entry")
+        self._hold(m, amps, None)
+
+    @classmethod
+    def from_terms(cls, m: int, terms: dict[int, int]) -> "StateVector":
+        """The state with amplitude terms[x] at each x and 0 elsewhere."""
+        require_qubit_count(m)
+        terms = dict(sorted(terms.items()))
+        if (not terms or not all(terms.values())
+                or next(iter(terms)) < 0 or next(reversed(terms)) >> m):
+            raise ValueError(f"need one or more terms, indices in 0..2^{m} - 1, values nonzero")
+        return object.__new__(cls)._hold(m, None, terms)
+
+    def _hold(self, m: int, amps, terms) -> "StateVector":
+        for name, value in (("m", m), ("_amps", amps), ("_terms", terms)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StateVector is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild the held form
+        if self._terms is None:
+            return StateVector, (self.m, self._amps)
+        return StateVector.from_terms, (self.m, self._terms)
+
+    @property
+    def amps(self) -> tuple[int, ...]:
+        if self._amps is None:
+            amps = [0] * (1 << self.m)
+            for x, a in self._terms.items():
+                amps[x] = a
+            object.__setattr__(self, "_amps", tuple(amps))
+        return self._amps
+
+    def entries(self) -> tuple:
+        """(values, ascending support), values[x] the amplitude at support index x:
+        the held dict and its keys, or the tuple and a scan that caches nothing."""
+        if self._terms is not None:
+            return self._terms, list(self._terms)
+        a = self._amps
+        return a, list(compress(range(len(a)), a))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, StateVector) and (self.m, self.amps) == (other.m, other.amps)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.amps))
+
+    def __repr__(self) -> str:
+        return f"StateVector(m={self.m!r}, amps={self.amps!r})"
 
     def is_sign_vector(self) -> bool:
         """True when every amplitude is +1 or -1 (a real equally weighted state)."""
@@ -78,16 +132,14 @@ class StateVector:
 
     def canonical(self) -> "StateVector":
         """Global-sign canonical form: first nonzero amplitude positive."""
-        for a in self.amps:
-            if a:
-                return self.negate() if a < 0 else self
-        raise AssertionError("unreachable: zero vector rejected at construction")
+        values, support = self.entries()
+        return self.negate() if values[support[0]] < 0 else self
 
     def negate(self) -> "StateVector":
         return StateVector(self.m, tuple(-a for a in self.amps))
 
     def nonzero_indices(self) -> tuple[int, ...]:
-        return tuple(x for x, a in enumerate(self.amps) if a)
+        return tuple(self.entries()[1])
 
 
 @dataclass(frozen=True)

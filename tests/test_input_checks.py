@@ -6,7 +6,10 @@ from eqw.census import grover_bisep_fraction_log2
 from eqw.cli import main
 from eqw.oracles import SimonInstance
 from eqw.rng import SplitMix64
-from eqw.states import LinearForm, tensor_all
+from eqw.states import LinearForm, StateVector, tensor_all
+
+
+_TERMS_2 = r"need one or more terms, indices in 0\.\.2\^2 - 1, values nonzero"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -22,10 +25,16 @@ from eqw.states import LinearForm, tensor_all
     (lambda: tensor_all(iter(())), "need at least one factor"),
     (lambda: SplitMix64(1).bits(0), "need a positive bit count, got 0"),
     (lambda: SplitMix64(1).below(0), "bound must be positive, got 0"),
+    (lambda: StateVector.from_terms(2, {}), _TERMS_2),
+    (lambda: StateVector.from_terms(2, {1: 1, 2: 0}), _TERMS_2),
+    (lambda: StateVector.from_terms(2, {0: 1, 4: 1}), _TERMS_2),
+    (lambda: StateVector.from_terms(2, {-1: 1, 3: 1}), _TERMS_2),
+    (lambda: StateVector.from_terms(0, {0: 1}), "qubit count must be a positive integer, got 0"),
 ], ids=["grover-odd-m", "grover-m-at-2^n", "simon-n-1", "simon-wide-period",
         "linear-form-above", "linear-form-negative", "linear-form-init-above",
         "linear-form-init-negative", "tensor-all-empty-list",
-        "tensor-all-empty-iterator", "bits-0", "below-0"])
+        "tensor-all-empty-iterator", "bits-0", "below-0", "terms-empty", "terms-zero-value",
+        "terms-index-at-2^m", "terms-negative-index", "terms-m-0"])
 def test_out_of_range_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

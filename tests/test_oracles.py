@@ -303,3 +303,34 @@ def test_local_x_maps_collapse_to_canonical():
                 if (xbar >> (n - q)) & 1:
                     s = apply_local_x(s, q)
             assert s == simon_canonical_state(n, int(r, 2))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coset_labels_iterate_as_they_index(n):
+    rng = SplitMix64(300 + n)
+    for seed in (0, 1, 7, rng.bits(32)):
+        for r in {1, (1 << n) - 1, 1 + rng.below((1 << n) - 1)}:
+            t = CosetLabels(n, r, seed)
+            assert list(t) == [t[x] for x in range(1 << n)]
+            assert t == tuple(t) and hash(t) == hash(tuple(t))
+            assert t[-1] == t[(1 << n) - 1] and t[-(1 << n)] == t[0]
+            for x in (1 << n, -(1 << n) - 1):
+                with pytest.raises(IndexError):
+                    t[x]
+
+
+def test_every_simon_state_is_held_by_its_support():
+    inst = make_simon_instance(8, 0b10110101, seed=3)
+    outcome = simon_measure(inst, seed=4)
+    states = {
+        "collapse": (outcome.collapsed, 2),
+        "canonical": (simon_canonical_state(8, 0b10110101), 2),
+        "register": (simon_global_state(inst), 1 << 8),
+    }
+    for name, (s, points) in states.items():
+        values, support = s.entries()
+        assert isinstance(values, dict) and len(support) == points, name
+        assert set(values.values()) == {1}, name
+    xbar = outcome.collapsed.entries()[1][0]
+    assert outcome.collapsed.entries()[1] == [xbar, xbar ^ 0b10110101]
+    assert simon_global_state(inst).entries()[1] == [(x << 8) | inst.table[x] for x in range(256)]

@@ -933,3 +933,53 @@ def test_coset_states_make_no_rank_1_test_and_all_others_are_swept(monkeypatch):
         calls.clear()
         finest_factorization(s)
         assert calls, s
+
+
+def _differential_cuts(m: int) -> list[Bipartition]:
+    """Every cut up to 5 qubits; above, the leading cuts {1..k} and the
+    scattered ones (odd qubits, even qubits, the first and last qubit)."""
+    if m <= 5:
+        return list(_cuts(m))
+    subsets = [tuple(range(1, k + 1)) for k in range(1, m)]
+    subsets += [tuple(range(1, m + 1, 2)), tuple(range(2, m + 1, 2)), (1, m)]
+    return [Bipartition(m, subset) for subset in subsets]
+
+
+def _held_and_dense_mismatches(states) -> list[StateVector]:
+    """States held by their support on which a dense-built copy of the same
+    amplitudes gives other blocks, factors, report or Schmidt ranks.
+    Factorizations stop at the factor cap; ranks run at any size."""
+    out = []
+    for held in states:
+        assert isinstance(held.entries()[0], dict)
+        dense = StateVector(held.m, tuple(held.amps))
+        assert isinstance(dense.entries()[0], tuple)
+        same = all(schmidt_rank(held, p) == schmidt_rank(dense, p)
+                   for p in _differential_cuts(held.m))
+        if held.m <= FACTOR_CAP:
+            a, b = finest_factorization(held), finest_factorization(dense)
+            same &= a.blocks == b.blocks and all(
+                fa.amps == fb.amps for (_, fa), (_, fb) in zip(a.blocks, b.blocks))
+            same &= classify(held).to_dict() == classify(dense).to_dict()
+        if not same:
+            out.append(held)
+    return out
+
+
+def test_states_held_by_their_support_classify_as_their_dense_copies():
+    collapses = [simon_measure(make_simon_instance(n, r, seed=n + r), seed).collapsed
+                 for n in range(2, 9) for r in range(1, 1 << n) for seed in (0, 1, 2)]
+    assert len(collapses) == 3 * sum((1 << n) - 1 for n in range(2, 9))
+    rng = SplitMix64(933)
+    sparse = []
+    for _ in range(500):
+        n = 2 + rng.below(7)
+        points = set()
+        for _ in range(1 + rng.below(1 << (n - 1))):
+            points.add(rng.below(1 << n))
+        sparse.append(StateVector.from_terms(
+            n, {x: (1 + rng.below(3)) * (1 - 2 * rng.below(2)) for x in points}))
+    assert {s.m for s in sparse} == set(range(2, 9))
+    registers = [simon_global_state(make_simon_instance(n, 1 + rng.below((1 << n) - 1), seed))
+                 for n in range(2, 9) for seed in (0, 1)]
+    assert _held_and_dense_mismatches(collapses + sparse + registers) == []

@@ -232,3 +232,39 @@ def test_one_reshape_reader():
             callers.append(fn.name)
     assert "schmidt_rank" not in callers
     assert sorted(callers) == ["reassemble", "try_factor"]
+
+
+def test_one_support_scan():
+    # StateVector.entries() is the one place a support is found: a state held
+    # by its support hands over its keys, and only a dense one is scanned.
+    # No other module runs compress over amplitudes (the range(...) idiom or
+    # an argument that reads .amps), and in oracles only the DJ pipeline,
+    # which runs the Hadamard kernel on the dense (n+1)-qubit vector, builds
+    # a [0] * (1 << ...) list: every Simon state is built from its support
+    def scans_amplitudes(node) -> bool:
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "compress"):
+            return False
+        first = node.args[0] if node.args else None
+        return (isinstance(first, ast.Call) and getattr(first.func, "id", None) == "range"
+                or any(isinstance(sub, ast.Attribute) and sub.attr in ("amps", "_amps")
+                       for arg in node.args for sub in ast.walk(arg)))
+
+    def zero_list(node) -> bool:
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(side, ast.List) and len(side.elts) == 1
+                        and isinstance(side.elts[0], ast.Constant) and side.elts[0].value == 0
+                        for side in (node.left, node.right))
+                and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.LShift)
+                        for side in (node.left, node.right)))
+
+    scans, dense = [], []
+    for path in sorted(Path(eqw.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                scans += [f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                          if scans_amplitudes(node)]
+                if path.stem == "oracles":
+                    dense += [fn.name for node in ast.walk(fn) if zero_list(node)]
+    assert scans == ["states.entries"]
+    assert dense == ["dj_oracle_pipeline"]

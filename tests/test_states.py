@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -260,3 +262,61 @@ def test_hadamard_all_refuses_what_a_64_bit_lane_cannot_hold():
         hadamard_all([1, -1, 1])
     with pytest.raises(ValueError):
         hadamard_all([])
+
+
+def _both_forms() -> list[tuple[StateVector, StateVector]]:
+    """(held by its support, dense) pairs of the same amplitudes."""
+    return [
+        (StateVector.from_terms(3, {6: -1, 1: 2}), StateVector(3, (0, 2, 0, 0, 0, 0, -1, 0))),
+        (StateVector.from_terms(1, {0: 5, 1: -7}), StateVector(1, (5, -7))),
+        (StateVector.from_terms(4, {9: 1}), StateVector(4, tuple(int(x == 9) for x in range(16)))),
+    ]
+
+
+def test_a_state_held_by_its_support_reads_equals_hashes_and_prints_as_its_dense_form():
+    for held, dense in _both_forms():
+        values, support = held.entries()
+        assert isinstance(values, dict) and list(values) == support == sorted(support)
+        dense_values, dense_support = dense.entries()
+        assert dense_values is dense.amps and dense_support == support
+        assert all(values[x] == dense_values[x] for x in support)
+        assert held == dense and dense == held and hash(held) == hash(dense)
+        assert repr(held) == repr(dense)
+        assert held.amps == dense.amps and held.amps is held.amps  # built once, then kept
+        assert held.nonzero_indices() == dense.nonzero_indices() == tuple(support)
+        assert held.canonical() == dense.canonical()
+        assert held.entries()[0] is values  # reading amps does not change the held form
+    assert repr(StateVector(1, (1, -1))) == "StateVector(m=1, amps=(1, -1))"
+    assert StateVector.from_terms(2, {3: 1}) != StateVector.from_terms(2, {3: -1})
+    assert StateVector.from_terms(1, {1: 1}) != StateVector.from_terms(2, {1: 1})
+    assert StateVector(1, (1, 0)) != (1, (1, 0))
+
+
+def test_from_terms_keeps_the_terms_in_ascending_order_and_builds_no_tuple():
+    s = StateVector.from_terms(64, {(1 << 64) - 1: 3, 5: -1, 0: 2})
+    values, support = s.entries()
+    assert support == [0, 5, (1 << 64) - 1] and list(values.values()) == [2, -1, 3]
+    assert s.m == 64 and s.nonzero_indices() == (0, 5, (1 << 64) - 1)
+
+
+def test_both_held_forms_survive_pickle_and_copy():
+    for pair in _both_forms():
+        for s in pair:
+            copies = [pickle.loads(pickle.dumps(s, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.deepcopy(s), copy.copy(s)]
+            for c in copies:
+                assert c == s and hash(c) == hash(s) and c.m == s.m
+                assert type(c.entries()[0]) is type(s.entries()[0])  # the same held form
+                assert c.entries()[1] == s.entries()[1]
+
+
+def test_a_state_is_immutable():
+    for pair in _both_forms():
+        for s in pair:
+            with pytest.raises(AttributeError):
+                s.m = 2
+            with pytest.raises(AttributeError):
+                s.amps = (1, 1)
+            with pytest.raises(AttributeError):
+                s.extra = 1
