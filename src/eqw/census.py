@@ -298,16 +298,26 @@ class CensusReport:
         return [msg for msg in (r.check() for r in self.rows) if msg]
 
 
+def available_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, which a container or ``taskset`` may hold below the
+    host's count, else ``os.cpu_count()``; at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def pool_map(fn, items, workers: int, min_shard: int) -> list:
     """[fn(shard) for shard in shards], in order, over contiguous shards that
     cover the sliceable items: one shard per worker, but at most one per
     min_shard items, rounded up, and at least one, and no more shards than
-    cores, whatever workers asks for. A lone shard runs in process.
+    ``available_cores()``, whatever workers asks for. A lone shard runs in
+    process.
 
     This is the package's one process pool. Its workers are daemonic and
     cannot start pools of their own, so no job may call ``enumerate_*``.
     """
-    shards = max(1, min(workers, os.cpu_count() or 1, -(-len(items) // min_shard)))
+    shards = max(1, min(workers, available_cores(), -(-len(items) // min_shard)))
     if shards == 1:
         return [fn(items)]
     cuts = [len(items) * i // shards for i in range(shards + 1)]

@@ -263,7 +263,7 @@ def simulate_cmd(algorithm, n, truth_table, m, solutions, r, seed, instance_path
 def census_cmd(algorithm, n, m, exhaustive, workers, fmt, max_n):
     """Closed-form counts, optionally reconciled against exhaustive enumeration."""
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = census_mod.available_cores()
     if algorithm == "dj":
         if exhaustive:
             cap = _effective_cap(census_mod.DJ_FULL_CAP, max_n)
@@ -296,7 +296,7 @@ def census_cmd(algorithm, n, m, exhaustive, workers, fmt, max_n):
 def verify_cmd(suite, n_range, workers, fmt):
     """Re-derive the counting claims by enumeration; exit 1 on any violation."""
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = census_mod.available_cores()
     text = n_range.strip()
     try:
         if ".." in text:

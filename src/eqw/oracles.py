@@ -15,9 +15,14 @@ from typing import Iterable, Iterator
 
 from .errors import ResourceCapError, TargetEntanglementError
 from .rng import KeyedPermutation, SplitMix64
-from .states import BooleanFunction, StateVector, hadamard_all
+from .states import _CACHED_MASK_SIZE, BooleanFunction, StateVector, hadamard_all
 
 GLOBAL_STATE_CAP = 8
+
+# H^(x)n |0...0> (x) (+1, -1), the layer before the oracle, by qubit count
+# n + 1; kept for layers of at most _CACHED_MASK_SIZE entries, as the
+# butterfly masks are, so a large pipeline leaves no memory behind.
+_DJ_LAYERS: dict[int, tuple[int, ...]] = {}
 
 
 def _split_register_target(state: StateVector) -> tuple[StateVector, StateVector]:
@@ -41,13 +46,19 @@ def dj_oracle_pipeline(f: BooleanFunction) -> tuple[StateVector, StateVector]:
     Hadamards act on the register only, then the oracle maps |x>|y> to
     |x>|f(x) xor y>, swapping the two target amplitudes of each x with
     f(x) = 1. The target factor is verified unchanged before the register
-    is returned.
+    is returned. The Hadamard layer does not depend on f, so it is run once
+    per size and copied for each f (``_DJ_LAYERS``).
     """
     n = f.n
     m = n + 1
-    amps = [0] * (1 << m)
-    amps[0], amps[1] = 1, -1
-    amps = hadamard_all(amps, skip=1)
+    layer = _DJ_LAYERS.get(m)
+    if layer is None:
+        amps = [0] * (1 << m)
+        amps[0], amps[1] = 1, -1
+        layer = tuple(hadamard_all(amps, skip=1))
+        if len(layer) <= _CACHED_MASK_SIZE:
+            _DJ_LAYERS[m] = layer
+    amps = list(layer)
     bits = f.bits()
     x = bits.find("1")
     while x >= 0:

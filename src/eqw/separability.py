@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, islice, repeat
+from itertools import combinations, islice, repeat
 from struct import error as struct_error, pack, unpack
 from typing import Iterable, Iterator, Optional
 
@@ -95,11 +95,13 @@ def try_factor(
     a[x0] < 0 and its first nonzero entry is positive. None means no split.
 
     A caller that tries many cuts of one state passes its ascending
-    ``support`` (the indices of its nonzero amplitudes) and a one-element
-    ``hint`` list. The hinted index is tested first, and a refuting index
-    found by the walk is stored back into it. Any index that breaks the 2x2
-    minor refutes rank 1, so the hint changes only how soon a cut is
-    rejected, never the answer.
+    ``support`` (the indices of its nonzero amplitudes) and a ``hint`` list
+    of indices that refuted earlier cuts. The whole list is tested before
+    the walk, and a refuting index the walk finds is appended to it; a
+    split, or a refutation by the list or by the rectangle count, leaves
+    it as it was. Any index, in the support or not, whose 2x2 minor against
+    x0 is nonzero refutes rank 1, so the hint changes only how soon a cut
+    is rejected, never the answer.
     """
     if s.m < 2:
         raise ValueError("need at least 2 qubits to bipartition")
@@ -113,10 +115,13 @@ def try_factor(
     x0 = support[0]
     ref = a[x0]
     r0, c0 = x0 & rmask, x0 & cmask
-    for x in chain(hint or (), support):
+    for x in hint or ():
+        if a[x] * ref != a[(x & rmask) | c0] * a[r0 | (x & cmask)]:
+            return None
+    for x in support:
         if a[x] * ref != a[(x & rmask) | c0] * a[r0 | (x & cmask)]:
             if hint is not None:
-                hint[0] = x
+                hint.append(x)
             return None
     rows, cols = _index_maps(s.m, p.subset)
     u = [a[r | c0] for r in rows]
@@ -197,11 +202,19 @@ def _split_blocks(
     is a union of blocks, so the first subset to split is a smallest block
     (one of two, at a half-size cut). It is kept as found, and the
     cofactor's sweep starts at cuts of its size.
+
+    Each step keeps a hint list for ``try_factor``: every index that
+    refuted a cut of the step's state, tested against each later cut
+    before its support walk. An index that refutes one cut often refutes
+    many, so on a state whose walks run long (a few-solution Grover state,
+    where only indices near the marked ones refute) most cuts are turned
+    away in a few reads. The list starts empty for each cofactor, whose
+    indices are another state's.
     """
     blocks = []
     least = 1  # no block left has fewer qubits
     while (m := len(qubits)) > 1:
-        hint = [support[0]]
+        hint: list[int] = []
         cuts = _cuts(m)
         if least > 1:  # skip the smaller cuts without a test, so a GME sweep pays nothing
             cuts = islice(cuts, sum(math.comb(m, k) for k in range(1, least)), None)
@@ -266,6 +279,12 @@ def _join(masks: Iterable[int]) -> list[int]:
     return out
 
 
+# The one-qubit basis states, by (bit, sign), held by their support: the
+# coset engine's singleton factors, shared as StateVector is immutable.
+_BASIS_QUBITS = {(bit, sign): StateVector.from_terms(1, {bit: sign})
+                 for bit in (0, 1) for sign in (1, -1)}
+
+
 def _coset_blocks(
     s: StateVector, x0: int, c: int, rows: list[int]
 ) -> list[tuple[tuple[int, ...], StateVector]]:
@@ -274,11 +293,12 @@ def _coset_blocks(
 
     Rows that share a qubit are joined: the blocks are the connected
     components of the binary matroid of H (Oxley, *Matroid Theory*, ch. 4),
-    and a qubit in no row is a basis-state singleton. Each factor is the 0/1
-    indicator of the coset projected on its qubits, held by its support, as
-    the sweep's content reduction leaves it, except that the block the sweep
-    leaves for last (the largest, of those the one with the latest first
-    qubit) carries the sign of c. A state of one block is returned as it is.
+    and a qubit in no row is a basis-state singleton, taken from
+    ``_BASIS_QUBITS``. Each factor is the 0/1 indicator of the coset
+    projected on its qubits, held by its support, as the sweep's content
+    reduction leaves it, except that the block the sweep leaves for last
+    (the largest, of those the one with the latest first qubit) carries the
+    sign of c. A state of one block is returned as it is.
     """
     n = s.m
     masks = _join(rows)
@@ -298,13 +318,17 @@ def _coset_blocks(
 
     out = []
     for qubits, mask in blocks:
-        points = [local(x0, qubits)]
-        for row in rows:
-            if row & mask:
-                shift = local(row, qubits)
-                points += [y ^ shift for y in points]
         value = sign if qubits == last else 1
-        out.append((qubits, StateVector.from_terms(len(qubits), dict.fromkeys(points, value))))
+        if mask:
+            points = [local(x0, qubits)]
+            for row in rows:
+                if row & mask:
+                    shift = local(row, qubits)
+                    points += [y ^ shift for y in points]
+            factor = StateVector.from_terms(len(qubits), dict.fromkeys(points, value))
+        else:
+            factor = _BASIS_QUBITS[x0 >> (n - qubits[0]) & 1, value]
+        out.append((qubits, factor))
     return out
 
 

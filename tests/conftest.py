@@ -21,7 +21,7 @@ def pool_starts(monkeypatch) -> list[int]:
         started.append(processes)
         return pool(processes=processes)
 
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(census, "available_cores", lambda: 4)
     monkeypatch.setattr(census.multiprocessing, "Pool", counted_pool)
     return started
 

@@ -506,11 +506,37 @@ def test_pool_map_starts_no_more_processes_than_cores(monkeypatch):
             return list(map(fn, shards))
 
     monkeypatch.setattr(census.multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(census, "available_cores", lambda: 3)
     items = range(1_000_000)
     for workers in (2, 3, 5000):
         assert sum(census.pool_map(sum, items, workers, 1)) == sum(items)
     assert started == [2, 3, 3]
-    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(census, "available_cores", lambda: 1)
     assert census.pool_map(len, items, 5000, 1) == [len(items)]
     assert started == [2, 3, 3]
+
+
+def test_available_cores_reads_the_affinity_before_the_host_count(monkeypatch):
+    # a process held to 2 of 64 cores gets 2; without an affinity call the
+    # host's count is read, and an unknown count is 1
+    monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
+    assert census.available_cores() == 2
+    monkeypatch.delattr(census.os, "sched_getaffinity")
+    assert census.available_cores() == 64
+    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    assert census.available_cores() == 1
+
+
+def test_a_process_held_to_one_core_scans_in_process(monkeypatch):
+    # 4 workers asked for on a host of 8 cores, with the affinity at one:
+    # the long scan runs in process, and the census prints the same bytes
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on a process held to one core")
+
+    monkeypatch.setattr(census, "MIN_SHARD_PLACEMENTS", 4096)
+    one = enumerate_grover(5, 4, workers=1).to_dict()
+    monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(census.multiprocessing, "Pool", no_pool)
+    assert enumerate_grover(5, 4, workers=4).to_dict() == one

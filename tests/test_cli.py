@@ -361,6 +361,31 @@ def test_census_workers_byte_identical(runner, monkeypatch, pool_starts):
     assert pool_starts == [2, 3, 2, 3]
 
 
+def test_default_workers_follow_the_cpu_affinity(runner, monkeypatch):
+    # a process held to one of 8 cores: the default --workers is 1, and it
+    # and an explicit 4 scan in process and print the bytes of --workers 1
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on a process held to one core")
+
+    asked = []
+    scan_grover = cli.enumerate_grover
+
+    def recording(n, m, workers):
+        asked.append(workers)
+        return scan_grover(n, m, workers=workers)
+
+    monkeypatch.setattr(census, "MIN_SHARD_PLACEMENTS", 4096)
+    monkeypatch.setattr(cli, "enumerate_grover", recording)
+    scan = ("census", "grover", "--n", "5", "--m", "4", "--exhaustive")
+    one = invoke(runner, *scan, "--workers", "1").stdout_bytes
+    monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(census.multiprocessing, "Pool", no_pool)
+    assert invoke(runner, *scan).stdout_bytes == one
+    assert invoke(runner, *scan, "--workers", "4").stdout_bytes == one
+    assert asked == [1, 1, 4]
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_census_simon_stdout_does_not_depend_on_the_worker_count(runner, monkeypatch,
                                                                  pool_starts, fmt):

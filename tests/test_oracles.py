@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from eqw import oracles
 from eqw.errors import ResourceCapError, TargetEntanglementError
 from eqw.oracles import (
     GLOBAL_STATE_CAP,
@@ -54,6 +55,29 @@ def test_pipeline_sampled_every_n_to_12():
             register, target = dj_oracle_pipeline(f)
             assert register.amps == state_from_function(f).amps
             assert target.amps == (1, -1)
+
+
+def test_pipeline_runs_the_hadamard_layer_once_per_size_and_keeps_no_long_one(monkeypatch):
+    # the layer of n = 12 has 2^13 entries and is kept; that of n = 13 is
+    # built per call. The oracle's swaps never reach a kept layer
+    lengths = []
+    real = oracles.hadamard_all
+
+    def counting(a, skip=0):
+        lengths.append(len(a))
+        return real(a, skip)
+
+    monkeypatch.setattr(oracles, "hadamard_all", counting)
+    monkeypatch.setattr(oracles, "_DJ_LAYERS", {})
+    rng = SplitMix64(13)
+    for n in (3, 5, 12, 13, 3, 5, 12, 13):
+        for table in (0, (1 << (1 << n)) - 1, rng.below(1 << (1 << n))):
+            f = BooleanFunction(n, table)
+            register, target = dj_oracle_pipeline(f)
+            assert register.amps == state_from_function(f).amps
+            assert target.amps == (1, -1)
+    assert lengths == [16, 64, 1 << 13] + [1 << 14] * 6
+    assert sorted(oracles._DJ_LAYERS) == [4, 6, 13]
 
 
 def test_target_split_error_is_reachable():

@@ -374,6 +374,17 @@ def test_try_factor_returns_primitive_factors_of_planted_products():
                 assert res[1].amps == (v if scale > 0 else tuple(-x for x in v))
 
 
+def _refuters(s: StateVector, p: Bipartition, indices) -> list[int]:
+    """The indices whose 2x2 minor against the first support index is
+    nonzero at the cut, in the order given."""
+    a = s.amps
+    x0 = next(x for x, v in enumerate(a) if v)
+    cmask = (len(a) - 1) ^ p.rmask
+    r0, c0 = x0 & p.rmask, x0 & cmask
+    return [x for x in indices
+            if a[x] * a[x0] != a[(x & p.rmask) | c0] * a[r0 | (x & cmask)]]
+
+
 def test_try_factor_support_and_hint_never_change_the_answer():
     rng = SplitMix64(909)
     for n in range(2, 8):
@@ -395,19 +406,34 @@ def test_try_factor_support_and_hint_never_change_the_answer():
         for amps in states:
             s = StateVector(n, tuple(amps))
             support = [x for x in range(size) if amps[x]]
-            running = [support[0]]  # carried across cuts, as the sweep does
+            zeros = [x for x in range(size) if not amps[x]] or [support[0]]
+            running = []  # carried across cuts, as the sweep does
             for k in range(1, n):
                 for subset in combinations(range(1, n + 1), k):
                     p = Bipartition(n, subset)
                     expected = try_factor(s, p)
+                    walked = _refuters(s, p, support)[:1]
                     assert try_factor(s, p, support=support) == expected
+                    # the walk appends the first refuting support index, and
+                    # only when no index already held refutes the cut
+                    before = list(running)
                     assert try_factor(s, p, support=support, hint=running) == expected
-                    # wrong hints: zero entries, the last index, any index at all
-                    for x in (support[-1], size - 1, rng.below(size)):
-                        hint = [x]
+                    held = _refuters(s, p, before)
+                    assert running == before + ([] if held else walked)
+                    assert len(set(running)) == len(running)
+                    if expected is not None:
+                        assert running == before and walked == []
+                    # lists of wrong hints: zero entries, repeats, the last
+                    # index, x0, which never refutes, and any index at all
+                    z = zeros[rng.below(len(zeros))]
+                    for hint in ([], [support[0]], [z, z], [support[-1], size - 1],
+                                 [rng.below(size) for _ in range(3)] + [z, support[0]]):
+                        before = list(hint)
                         assert try_factor(s, p, support=support, hint=hint) == expected
+                        held = _refuters(s, p, before)
+                        assert hint == before + ([] if held else walked)
                         if expected is not None:
-                            assert hint == [x]
+                            assert held == [] and hint == before
 
 
 def test_cuts_run_by_size_then_lexicographically_and_are_kept_only_up_to_the_cap():
@@ -423,20 +449,102 @@ def test_cuts_run_by_size_then_lexicographically_and_are_kept_only_up_to_the_cap
     assert _cuts(FACTOR_CAP + 1) is not _cuts(FACTOR_CAP + 1)
 
 
-def test_classify_matches_the_anf_on_few_solution_grover_states():
-    # a product state except at a few late entries makes the support walk
-    # run to its end on nearly every cut: the sweep's worst case
+def _grover_states() -> list[tuple[int, set[int]]]:
+    """(n, marked) at n = 10..12 for M = 1..3: the first, middle and last
+    index marked alone, and seeded sets that hold 2^(n-1) or not."""
     rng = SplitMix64(912)
-    marked_sets = [{4095}, {0}, {2048}]
-    for m in (2, 4):
-        marked = set()
-        while len(marked) < m:
-            marked.add(rng.below(4096))
-        marked_sets.append(marked)
-    for marked in marked_sets:
-        amps = tuple(-1 if x in marked else 1 for x in range(4096))
+    out = []
+    for n in (10, 11, 12):
+        size = 1 << n
+        out += [(n, {0}), (n, {size >> 1}), (n, {size - 1})]
+        for m in (2, 3):
+            for first in (size >> 1, rng.below(size)):
+                marked = {first}
+                while len(marked) < m:
+                    marked.add(rng.below(size))
+                out.append((n, marked))
+    return out
+
+
+def _grover_state(n: int, marked: set[int]) -> StateVector:
+    return StateVector(n, tuple(-1 if x in marked else 1 for x in range(1 << n)))
+
+
+def test_classify_matches_the_anf_on_few_solution_grover_states():
+    # a product state except at a few entries makes the support walk run
+    # far on nearly every cut: the sweep's worst case
+    cases = _grover_states()
+    assert {len(marked) for _, marked in cases} == {1, 2, 3}
+    assert sum(1 << (n - 1) in marked for n, marked in cases) == 9  # M = 1, 2, 3 at each n
+    for n, marked in cases:
         table = sum(1 << x for x in marked)
-        assert classify(StateVector(12, amps)).block_sizes == sign_block_sizes(12, table)
+        assert classify(_grover_state(n, marked)).block_sizes == sign_block_sizes(n, table)
+
+
+def _pinned_sweep_states() -> list[StateVector]:
+    """Seeded states that reach the sweep: random sign vectors at n = 6..10,
+    dense integer states with zeros and 80-bit entries at n = 5..8, planted
+    blocks of small entries with zeros, and few-solution Grover states."""
+    rng = SplitMix64(940)
+    states = [StateVector(n, tuple(1 - 2 * rng.below(2) for _ in range(1 << n)))
+              for n in range(6, 11)]
+    states += [StateVector(n, tuple(_random_entries(rng, 1 << n))) for n in range(5, 9)]
+    states += [StateVector(sum(sizes), _planted_blocks(rng, sizes)[1])
+               for sizes in ([2, 3, 4], [1, 3, 1, 2], [3, 3, 3], [4, 2, 2, 1], [5, 4])]
+    states += [_grover_state(n, marked) for n, marked in _grover_states()[::3]]
+    return states
+
+
+def _try_factor_calls(monkeypatch, states) -> list[int]:
+    """try_factor calls, through the module global, to classify each state."""
+    counts = []
+    real = separability.try_factor
+
+    def counting(s, p, **kwargs):
+        counts[-1] += 1
+        return real(s, p, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(separability, "try_factor", counting)
+        for s in states:
+            counts.append(0)
+            classify(s)
+    return counts
+
+
+PINNED_CALLS = [31, 63, 127, 255, 511,  # random sign vectors, n = 6..10
+                15, 31, 63, 127,  # dense integer states with zeros, n = 5..8
+                86, 21, 66, 40, 192,  # planted blocks
+                511, 511, 511, 1023, 1023, 2047, 2047]  # Grover states, n = 10..12
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts the entries read through indexing."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingTuple.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_the_sweep_turns_the_worst_grover_cuts_away_in_a_few_reads(monkeypatch):
+    # n = 12 with index 2048 marked is GME, so all 2,047 cuts are tried, and
+    # only indices near 2048 refute one: a walk from index 0 reaches them
+    # late. Each index that refuted a cut is tried on the next ones first,
+    # so the sweep reads 88,024 amplitudes, 43 a cut; with one index held,
+    # it read 9,451,492
+    amps = _CountingTuple(-1 if x == 2048 else 1 for x in range(4096))
+    monkeypatch.setattr(_CountingTuple, "reads", 0)
+    assert classify(StateVector(12, amps)).block_sizes == (12,)
+    assert 2047 < _CountingTuple.reads < 64 * 2047
+
+
+def test_the_sweep_tries_the_pinned_cuts(monkeypatch):
+    # the cuts the sweep tries on each state, the same as when it held one
+    # refuting index: the hint changes how soon a cut is turned away, never
+    # which cuts are tried
+    assert _try_factor_calls(monkeypatch, _pinned_sweep_states()) == PINNED_CALLS
 
 
 def test_try_factor_requires_a_rectangular_support():
@@ -871,6 +979,27 @@ def test_coset_engine_equals_the_sweep_on_every_affine_subspace(monkeypatch):
                                                        for x in range(1 << n))))
     assert len(states) == 2 * (3 + 11 + 51 + 307)  # cosets of all subspaces, n = 1..4
     assert _mismatches_with_the_sweep(monkeypatch, states) == []
+
+
+def test_coset_engine_shares_its_basis_state_singletons():
+    # every basis-state singleton of a collapse is one of the four held
+    # one-qubit states, and the blocks equal the sweep's: with r of weight 1
+    # and c < 0, the sign lands on the singleton of qubit n
+    table = separability._BASIS_QUBITS
+    assert {k: f.amps for k, f in table.items()} == {
+        (0, 1): (1, 0), (0, -1): (-1, 0), (1, 1): (0, 1), (1, -1): (0, -1)}
+    for n, r, x0, c in ((12, 1 << 11, 0b101, -1), (12, 0b111111, 1 << 11, 3), (5, 0b11, 0, 2)):
+        s = StateVector.from_terms(n, {x0: c, x0 ^ r: c})
+        fac = finest_factorization(s)
+        swept = separability._split_blocks(tuple(range(1, n + 1)), s, sorted({x0, x0 ^ r}))
+        assert fac.blocks == tuple(sorted(swept, key=lambda b: b[0][0]))
+        assert fac.q == n - r.bit_count() + 1
+        singletons = [(q, f) for (q, *rest), f in fac.blocks if not rest and not r >> (n - q) & 1]
+        assert len(singletons) == n - r.bit_count()
+        for q, factor in singletons:
+            assert any(factor is table[x0 >> (n - q) & 1, sign] for sign in (1, -1))
+        if r.bit_count() == 1 and c < 0:
+            assert fac.blocks[-1][1] is table[x0 & 1, -1]
 
 
 def test_near_coset_states_reach_the_sweep(monkeypatch):
